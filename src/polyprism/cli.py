@@ -3,14 +3,16 @@
 The CLI is a thin shell: all computation and the oracle's concurrency live
 in the library modules. Exit codes: 0 success (verify: no failures or
 errata), 1 verify found errata only, 2 verify found failed checks,
-64 usage error, 70 count overflow.
+3 internal fault (a bug, reported with its traceback), 64 usage error,
+70 count overflow.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+import traceback
+from typing import Callable, Sequence
 
 from .core import CountOverflowError, FamilyTag, PrismDims, format_polycube
 from .formulas import p2d_min, p3dmin_thickness2, p3dmin_thickness3
@@ -18,6 +20,7 @@ from .oracle import classify, count_by_family, count_min_inscribed, iter_min_ins
 from .series import UnknownSeriesError, catalog_names, expand, to_csv, total_min
 from .verify import crosscheck, reproduce_table1, reproduce_table2
 
+EX_INTERNAL = 3
 EX_USAGE = 64
 EX_OVERFLOW = 70
 
@@ -31,14 +34,45 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_in(lo: int, hi: int | None = None) -> Callable[[str], int]:
+    """Argument type: an integer in lo..hi (no upper limit when hi is None)."""
+    allowed = f"{lo}..{hi}" if hi is not None else f">= {lo}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(
+                f"expected an integer {allowed}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+def _bounds(text: str) -> tuple[int, int, int]:
+    """Argument type: BX,BY,BZ as three non-negative integers."""
+    try:
+        bounds = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        bounds = ()
+    if len(bounds) != 3 or min(bounds) < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected BX,BY,BZ as non-negative integers, got {text!r}"
+        )
+    return bounds
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="polyprism", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def dims_args(p: _Parser) -> None:
-        p.add_argument("--b", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--h", type=int, required=True)
+        p.add_argument("--b", type=_int_in(1), required=True)
+        p.add_argument("--k", type=_int_in(1), required=True)
+        p.add_argument("--h", type=_int_in(1), required=True)
 
     count = sub.add_parser("count", help="count minimal inscribed polycubes")
     dims_args(count)
@@ -47,13 +81,13 @@ def _build_parser() -> _Parser:
     )
 
     table1 = sub.add_parser("table1", help="reproduce the cubic-prism table")
-    table1.add_argument("--nmax", type=int, default=8)
+    table1.add_argument("--nmax", type=_int_in(1, 8), default=8)
 
     table2 = sub.add_parser("table2", help="reproduce the volume table")
-    table2.add_argument("--nmax", type=int, default=10)
+    table2.add_argument("--nmax", type=_int_in(1, 10), default=10)
 
     verify = sub.add_parser("verify", help="cross-check all engines")
-    verify.add_argument("--max-dim", type=int, default=4)
+    verify.add_argument("--max-dim", type=_int_in(2), default=4)
     verify.add_argument("--report", help="write the JSON report to this file")
 
     lst = sub.add_parser("list", help="stream minimal inscribed polycubes")
@@ -65,7 +99,7 @@ def _build_parser() -> _Parser:
 
     exp = sub.add_parser("expand", help="export series coefficients as CSV")
     exp.add_argument("--gf", required=True, help="catalog name")
-    exp.add_argument("--bounds", required=True, help="BX,BY,BZ")
+    exp.add_argument("--bounds", type=_bounds, required=True, help="BX,BY,BZ")
     exp.add_argument("--out", help="output file (default: standard output)")
     return parser
 
@@ -73,7 +107,7 @@ def _build_parser() -> _Parser:
 def _count_formula(b: int, k: int, h: int) -> int:
     sides = sorted((b, k, h))
     if sides[0] == 1:
-        return 1 if sides[1] == 1 else p2d_min(sides[1], sides[2])
+        return p2d_min(sides[1], sides[2])
     if sides[0] == 2:
         return p3dmin_thickness2(sides[1], sides[2])
     if sides[0] == 3:
@@ -151,15 +185,8 @@ def _cmd_classify(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace, out) -> int:
-    parts = args.bounds.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"--bounds expects BX,BY,BZ, got {args.bounds!r}")
     try:
-        bounds = tuple(int(v) for v in parts)
-    except ValueError:
-        raise UsageError(f"--bounds expects integers, got {args.bounds!r}") from None
-    try:
-        csv = to_csv(expand(args.gf, bounds))
+        csv = to_csv(expand(args.gf, args.bounds))
     except UnknownSeriesError:
         raise UsageError(
             f"unknown generating function {args.gf!r}; "
@@ -197,9 +224,10 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
     except CountOverflowError as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return EX_OVERFLOW
-    except (ValueError, IndexError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
+    except Exception as exc:  # the parser validated the input, so this is a bug
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_INTERNAL
 
 
 def main() -> None:

@@ -2,8 +2,9 @@
 
 Coefficients are exact integers on a dense grid indexed by the exponents of
 (x, y, z), i.e. by prism dimensions (b, k, h). Multiplication packs both
-operands into big integers (Kronecker substitution) so the convolution runs
-inside GMP; division is forward substitution and is cheap because every
+operands into big integers (Kronecker substitution) so the convolution is a
+single big-integer product, on gmpy2 when it is installed and on ``int``
+otherwise; division is forward substitution and is cheap because every
 catalog denominator is a short polynomial with unit constant term.
 """
 
@@ -14,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 try:
     from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is an optional extra
     def mpz(v):
         return v
 
@@ -136,19 +137,21 @@ class TruncatedSeries:
         c0 = other._c[0]
         if c0 not in (1, -1):
             raise NonUnitConstantTermError(f"constant term {c0} is not a unit")
-        dterms = [(e, v) for e, v in other.items() if e != (0, 0, 0)]
+        # a term x^a y^b z^c reads the quotient a fixed flat offset back
+        dterms = [(e, v, self._idx(*e)) for e, v in other.items() if e != (0, 0, 0)]
         bx, by, bz = self.bounds
-        q = TruncatedSeries(self.bounds)
-        qc = q._c
+        qc = [0] * len(self._c)
+        pos = 0
         for i in range(bx + 1):
             for j in range(by + 1):
                 for l in range(bz + 1):
-                    acc = self._c[self._idx(i, j, l)]
-                    for (a, b, c), v in dterms:
+                    acc = self._c[pos]
+                    for (a, b, c), v, off in dterms:
                         if a <= i and b <= j and c <= l:
-                            acc -= v * qc[self._idx(i - a, j - b, l - c)]
-                    qc[self._idx(i, j, l)] = acc if c0 == 1 else -acc
-        return q
+                            acc -= v * qc[pos - off]
+                    qc[pos] = acc if c0 == 1 else -acc
+                    pos += 1
+        return TruncatedSeries(self.bounds, qc)
 
     def div_terms(self, terms: Terms) -> "TruncatedSeries":
         return self.div(TruncatedSeries.from_terms(terms, self.bounds))
@@ -273,166 +276,126 @@ def _kronecker_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 # -- generating-function catalog --------------------------------------------
+#
+# Every builder works on the bounds it is given, which need not be cubic, so
+# an entry symmetric in (x, y, z) sums its per-axis pieces over the three
+# axes. A factor in one variable, or in variables the other operand does not
+# use, is applied as a monomial shift followed by divisions; only products
+# of series that share variables go through Kronecker multiplication.
 
-X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 ONE = (0, 0, 0)
+AXES = (0, 1, 2)
 
 
-def _rat(bounds: Bounds, num: Terms, dens: Iterable[Terms]) -> TruncatedSeries:
-    """Expand num / prod(dens); every denominator has unit constant term."""
-    s = TruncatedSeries.from_terms(num, bounds)
+def _e(*axes: int) -> tuple[int, int, int]:
+    """Exponent vector of the product of the variables of ``axes``."""
+    return (axes.count(0), axes.count(1), axes.count(2))
+
+
+def _den(*axes: int) -> Terms:
+    """The denominator 1 minus the sum of the variables of ``axes``."""
+    return {ONE: 1, **{_e(a): -1 for a in axes}}
+
+
+def _others(axis: int) -> tuple[int, int]:
+    return tuple(t for t in AXES if t != axis)
+
+
+def _poly_mul(*factors: Terms) -> dict:
+    out: dict = {ONE: 1}
+    for f in factors:
+        prod: dict = {}
+        for e1, v1 in out.items():
+            for e2, v2 in f.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                prod[e] = prod.get(e, 0) + v1 * v2
+        out = prod
+    return out
+
+
+def _over(s: TruncatedSeries, dens: Iterable[Terms]) -> TruncatedSeries:
+    """s / prod(dens); every denominator has unit constant term."""
     for d in dens:
         s = s.div_terms(d)
     return s
 
 
-def _pad(bounds: Bounds, extra: int) -> Bounds:
-    return (bounds[0] + extra, bounds[1] + extra, bounds[2] + extra)
+def _rat(bounds: Bounds, num: Terms, dens: Iterable[Terms]) -> TruncatedSeries:
+    """Expand num / prod(dens) within ``bounds``."""
+    return _over(TruncatedSeries.from_terms(num, bounds), dens)
 
 
 def _build_tripod(bounds: Bounds) -> TruncatedSeries:
-    return _rat(
-        bounds,
-        {(2, 2, 2): 1},
-        [{ONE: 1, X: -1}, {ONE: 1, Y: -1}, {ONE: 1, Z: -1}],
-    )
+    return _rat(bounds, {(2, 2, 2): 1}, [_den(0), _den(1), _den(2)])
 
 
 def _build_stair(bounds: Bounds) -> TruncatedSeries:
-    return _rat(bounds, {(1, 1, 1): 1}, [{ONE: 1, X: -1, Y: -1, Z: -1}])
-
-
-def _build_twodhook(bounds: Bounds) -> TruncatedSeries:
-    return (
-        _rat(bounds, {(2, 2, 1): 1}, [{ONE: 1, X: -1}, {ONE: 1, Y: -1}])
-        + _rat(bounds, {(2, 1, 2): 1}, [{ONE: 1, X: -1}, {ONE: 1, Z: -1}])
-        + _rat(bounds, {(1, 2, 2): 1}, [{ONE: 1, Y: -1}, {ONE: 1, Z: -1}])
-    )
-
-
-def _deg2_piece(bounds: Bounds) -> TruncatedSeries:
-    # [2yz/(1-y-z) - 2yz/((1-y)(1-z))] * x^2/(1-x)
-    inner = _rat(bounds, {(0, 1, 1): 2}, [{ONE: 1, Y: -1, Z: -1}]) - _rat(
-        bounds, {(0, 1, 1): 2}, [{ONE: 1, Y: -1}, {ONE: 1, Z: -1}]
-    )
-    return inner * _rat(bounds, {(2, 0, 0): 1}, [{ONE: 1, X: -1}])
-
-
-def _build_deg2(bounds: Bounds) -> TruncatedSeries:
-    zpiece = _deg2_piece(bounds)  # pilar along x, corner polyomino in yz
-    return (
-        zpiece
-        + zpiece.permute((1, 0, 2)).crop(bounds)  # pilar along y
-        + zpiece.permute((2, 1, 0)).crop(bounds)  # pilar along z
-    )
+    return _rat(bounds, {(1, 1, 1): 1}, [_den(0, 1, 2)])
 
 
 def _hook_bracket(bounds: Bounds) -> TruncatedSeries:
     """1 + (Tripod + Deg2 + 2Dhook)/xyz, exact within ``bounds``."""
-    p = _pad(bounds, 1)
-    hooks = _build_tripod(p) + _build_deg2(p) + _build_twodhook(p)
+    p = tuple(n + 1 for n in bounds)
+    hooks = _build_tripod(p)
+    for u in AXES:
+        v, w = _others(u)
+        # Deg2 with the pilar along u: [2vw/(1-v-w) - 2vw/((1-v)(1-w))] * u^2/(1-u)
+        hooks += _rat(p, {_e(u, u, v, w): 2}, [_den(u), _den(v, w)])
+        hooks -= _rat(p, {_e(u, u, v, w): 2}, [_den(u), _den(v), _den(w)])
+        # 2Dhook in the vw plane: (vw)^2 u / ((1-v)(1-w))
+        hooks += _rat(p, {_e(u, v, v, w, w): 1}, [_den(v), _den(w)])
     return TruncatedSeries.one(bounds) + hooks.shift_down((1, 1, 1))
-
-
-def _build_deg1(bounds: Bounds) -> TruncatedSeries:
-    stair = _build_stair(bounds)
-    return (stair - TruncatedSeries.from_terms({(1, 1, 1): 1}, bounds)) * _hook_bracket(
-        bounds
-    )
 
 
 def _build_pc(bounds: Bounds) -> TruncatedSeries:
     return _build_stair(bounds) * _hook_bracket(bounds)
 
 
-def _build_onediag(bounds: Bounds) -> TruncatedSeries:
-    br = _hook_bracket(bounds)
-    return _build_stair(bounds) * br * br
-
-
-def _build_twodiag_z(bounds: Bounds) -> TruncatedSeries:
-    # (1/xy) * (2xy/(1-x-y) - xy/((1-x)(1-y)))^2 * z/(1-z)^2
-    p = (bounds[0] + 1, bounds[1] + 1, bounds[2])
-    corner = _rat(p, {(1, 1, 0): 2}, [{ONE: 1, X: -1, Y: -1}]) - _rat(
-        p, {(1, 1, 0): 1}, [{ONE: 1, X: -1}, {ONE: 1, Y: -1}]
+def _corner(bounds: Bounds, u: int, v: int) -> TruncatedSeries:
+    """2D corner polyominoes in the uv plane: 2uv/(1-u-v) - uv/((1-u)(1-v))."""
+    return _rat(bounds, {_e(u, v): 2}, [_den(u, v)]) - _rat(
+        bounds, {_e(u, v): 1}, [_den(u), _den(v)]
     )
-    sq = (corner * corner).shift_down((1, 1, 0))
-    pilar = _rat(bounds, {(0, 0, 1): 1}, [{ONE: 1, Z: -1}, {ONE: 1, Z: -1}])
-    return sq * pilar
 
 
-def _build_cross3d(bounds: Bounds) -> TruncatedSeries:
-    fx = _rat(bounds, {(2, 0, 0): 2, (3, 0, 0): -1}, [{ONE: 1, X: -1}, {ONE: 1, X: -1}])
-    fy = _rat(bounds, {(0, 2, 0): 2, (0, 3, 0): -1}, [{ONE: 1, Y: -1}, {ONE: 1, Y: -1}])
-    fz = _rat(bounds, {(0, 0, 2): 2, (0, 0, 3): -1}, [{ONE: 1, Z: -1}, {ONE: 1, Z: -1}])
-    return fx * fy * fz
+def _two_diag(bounds: Bounds, w: int) -> TruncatedSeries:
+    """(1/uv) * corner(u, v)^2 * w/(1-w)^2: the pilar runs along w."""
+    u, v = _others(w)
+    p = tuple(n + (t != w) for t, n in enumerate(bounds))
+    corner = _corner(p, u, v)
+    sq = (corner * corner).shift_down(_e(u, v))
+    return _over(sq.shift_up(_e(w)), [_den(w), _den(w)])
 
 
 def _build_diag(bounds: Bounds) -> TruncatedSeries:
-    one = _build_onediag(bounds)
-    tz = _build_twodiag_z(bounds)
-    tx = tz.permute((2, 1, 0)).crop(bounds)
-    ty = tz.permute((0, 2, 1)).crop(bounds)
-    return one.scale(4) - (tz + tx + ty).scale(2) + _build_cross3d(bounds).scale(3)
-
-
-def _build_sh(bounds: Bounds) -> TruncatedSeries:
-    return _rat(
+    bracket = _hook_bracket(bounds)
+    one_diag = _build_stair(bounds) * bracket * bracket
+    two_diag = _two_diag(bounds, 0) + _two_diag(bounds, 1) + _two_diag(bounds, 2)
+    # Cross3D: fx fy fz with fu = (2u^2 - u^3)/(1-u)^2
+    cross = _rat(
         bounds,
-        {(1, 0, 1): 1},
-        [{ONE: 1, X: -1}, {ONE: 1, Y: -1}, {ONE: 1, Z: -1}],
+        _poly_mul(*({_e(a, a): 2, _e(a, a, a): -1} for a in AXES)),
+        [_den(a) for a in AXES for _ in range(2)],
     )
+    return one_diag.scale(4) - two_diag.scale(2) + cross.scale(3)
 
 
 def _corner_min2(bounds: Bounds, u: int, v: int) -> TruncatedSeries:
-    """uv * (2/(1-u-v) - 1/((1-u)(1-v)) - 1/(1-u)) in axes (u, v).
-
-    2D corner polyominoes in the uv plane whose extent along v is >= 2.
-    """
-    eu = tuple(1 if t == u else 0 for t in range(3))
-    ev = tuple(1 if t == v else 0 for t in range(3))
-    euv = tuple(a + b for a, b in zip(eu, ev))
-    du = {ONE: 1, eu: -1}
-    dv = {ONE: 1, ev: -1}
-    duv = {ONE: 1, eu: -1, ev: -1}
-    return (
-        _rat(bounds, {euv: 2}, [duv])
-        - _rat(bounds, {euv: 1}, [du, dv])
-        - _rat(bounds, {euv: 1}, [du])
-    )
-
-
-def _build_corner_z2(bounds: Bounds) -> TruncatedSeries:
-    return _corner_min2(bounds, 1, 2)  # P_{c,z>=2}(y,z)
-
-
-def _build_corner_x2(bounds: Bounds) -> TruncatedSeries:
-    return _corner_min2(bounds, 1, 0)  # P_{c,x>=2}(x,y)
-
-
-def _build_corner_y2(bounds: Bounds) -> TruncatedSeries:
-    return _corner_min2(bounds, 2, 1)  # P_{c,y>=2}(y,z)
+    """2D corner polyominoes in the uv plane whose extent along v is >= 2."""
+    return _corner(bounds, u, v) - _rat(bounds, {_e(u, v): 1}, [_den(u)])
 
 
 def _p2dx2d_pair(bounds: Bounds, u: int, v: int, w: int) -> TruncatedSeries:
     """2Dx2D polyominoes for the plane pair (uv, vw); v is the shared axis."""
-    eu = tuple(1 if t == u else 0 for t in range(3))
-    ev = tuple(1 if t == v else 0 for t in range(3))
-    ew = tuple(1 if t == w else 0 for t in range(3))
-    du = {ONE: 1, eu: -1}
-    dv = {ONE: 1, ev: -1}
-    dw = {ONE: 1, ew: -1}
-    e2uv = tuple(2 * a + b for a, b in zip(eu, ev))
-    e2wv = tuple(2 * a + b for a, b in zip(ew, ev))
-    blue = _corner_min2(bounds, v, u).scale(2) - _rat(bounds, {e2uv: 1}, [du, dv])
-    yellow = _corner_min2(bounds, v, w).scale(2) - _rat(bounds, {e2wv: 1}, [dv, dw])
-    euw = tuple(a + b for a, b in zip(eu, ew))
-    sh = _rat(bounds, {euw: 1}, [du, dv, dw])
-    return (blue * sh * yellow).scale(2)
-
-
-def _build_pxyyz(bounds: Bounds) -> TruncatedSeries:
-    return _p2dx2d_pair(bounds, 0, 1, 2)
+    blue = _corner_min2(bounds, v, u).scale(2) - _rat(
+        bounds, {_e(u, u, v): 1}, [_den(u), _den(v)]
+    )
+    yellow = _corner_min2(bounds, v, w).scale(2) - _rat(
+        bounds, {_e(w, w, v): 1}, [_den(v), _den(w)]
+    )
+    # the skew hook SH = uw / ((1-u)(1-v)(1-w))
+    joined = _over((blue * yellow).shift_up(_e(u, w)), [_den(u), _den(v), _den(w)])
+    return joined.scale(2)
 
 
 def _build_p2dx2d(bounds: Bounds) -> TruncatedSeries:
@@ -443,45 +406,22 @@ def _build_p2dx2d(bounds: Bounds) -> TruncatedSeries:
     )
 
 
-def _build_sca1(bounds: Bounds) -> TruncatedSeries:
-    p = (bounds[0], bounds[1], bounds[2] + 1)
-    prod = _corner_min2(p, 1, 2) * _corner_min2(p, 1, 0) * _corner_min2(p, 0, 2)
-    return prod.scale(4).shift_up((0, 1, 0)).shift_down((0, 0, 1))
+_SC_DENS = (_den(0, 1), _den(0, 2), _den(1, 2)) + tuple(
+    _den(a) for a in AXES for _ in range(2)
+)
 
 
 def _sc_symmetric_numerator(bounds: Bounds, constant: int, sign: int) -> TruncatedSeries:
-    # sign * ((1-x+y)(1-x+z) + (1-y+x)(1-y+z) + (1-z+x)(1-z+y) + constant)
-    def expand2(m1: Terms, m2: Terms) -> dict:
-        out: dict = {}
-        for e1, v1 in m1.items():
-            for e2, v2 in m2.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + v1 * v2
-        return out
-
-    def lin(plus: int, minus: int) -> Terms:
-        e_p = tuple(1 if t == plus else 0 for t in range(3))
-        e_m = tuple(1 if t == minus else 0 for t in range(3))
-        return {ONE: 1, e_m: -1, e_p: 1}
-
+    # sign * x^3y^3z^3 * ((1-x+y)(1-x+z) + (1-y+x)(1-y+z) + (1-z+x)(1-z+y) + constant)
     acc: dict = {ONE: constant}
-    for a, b, c in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        prod = expand2(lin(b, a), lin(c, a))
-        for e, v in prod.items():
+    for a in AXES:
+        b, c = _others(a)
+        lin_b = {ONE: 1, _e(a): -1, _e(b): 1}
+        lin_c = {ONE: 1, _e(a): -1, _e(c): 1}
+        for e, v in _poly_mul(lin_b, lin_c).items():
             acc[e] = acc.get(e, 0) + v
     shifted = {(e[0] + 3, e[1] + 3, e[2] + 3): sign * v for e, v in acc.items()}
-    dens = [
-        {ONE: 1, X: -1},
-        {ONE: 1, X: -1},
-        {ONE: 1, Y: -1},
-        {ONE: 1, Y: -1},
-        {ONE: 1, Z: -1},
-        {ONE: 1, Z: -1},
-        {ONE: 1, Y: -1, Z: -1},
-        {ONE: 1, X: -1, Y: -1},
-        {ONE: 1, X: -1, Z: -1},
-    ]
-    return _rat(bounds, shifted, dens)
+    return _rat(bounds, shifted, _SC_DENS)
 
 
 def _build_sca(bounds: Bounds) -> TruncatedSeries:
@@ -496,61 +436,32 @@ def _build_scb(bounds: Bounds) -> TruncatedSeries:
 
 
 def _build_sc(bounds: Bounds) -> TruncatedSeries:
-    return _rat(
-        bounds,
-        {(3, 3, 3): 64},
-        [
-            {ONE: 1, X: -1, Y: -1},
-            {ONE: 1, X: -1, Z: -1},
-            {ONE: 1, Y: -1, Z: -1},
-            {ONE: 1, X: -1},
-            {ONE: 1, X: -1},
-            {ONE: 1, Y: -1},
-            {ONE: 1, Y: -1},
-            {ONE: 1, Z: -1},
-            {ONE: 1, Z: -1},
-        ],
-    )
+    return _rat(bounds, {(3, 3, 3): 64}, _SC_DENS)
 
 
 _CATALOG: dict[str, Callable[[Bounds], TruncatedSeries]] = {
     "Tripod": _build_tripod,
     "Stair": _build_stair,
-    "TwoDhook": _build_twodhook,
-    "Deg2": _build_deg2,
-    "Deg1": _build_deg1,
     "Pc": _build_pc,
-    "OneDiag": _build_onediag,
-    "TwoDiagZ": _build_twodiag_z,
-    "TwoDiagX": lambda b: _build_twodiag_z(b).permute((2, 1, 0)),
-    "TwoDiagY": lambda b: _build_twodiag_z(b).permute((0, 2, 1)),
-    "Cross3D": _build_cross3d,
     "Diag": _build_diag,
-    "SH": _build_sh,
-    "CornerZ2": _build_corner_z2,
-    "CornerX2": _build_corner_x2,
-    "CornerY2": _build_corner_y2,
-    "PxyYz": _build_pxyyz,
     "P2Dx2D": _build_p2dx2d,
-    "SCa1": _build_sca1,
     "SCa": _build_sca,
     "SCb": _build_scb,
     "SC": _build_sc,
 }
 
-#: Smallest (b, k, h) for which a catalog coefficient equals the intended
+#: Smallest sorted (b, k, h) for which a family's coefficient equals its
 #: count; below these the inclusion-exclusion terms are invalid or vacuous.
 GF_VALIDITY: dict[str, tuple[int, int, int]] = {
     "Diag": (2, 2, 2),
-    "TwoDiagZ": (2, 2, 2),
-    "TwoDiagX": (2, 2, 2),
-    "TwoDiagY": (2, 2, 2),
-    "Cross3D": (2, 2, 2),
     "SC": (3, 3, 3),
     "SCa": (3, 3, 3),
     "SCb": (3, 3, 3),
     "P2Dx2D": (2, 3, 3),
 }
+
+#: One ``verify`` run reads about twenty (name, bounds) expansions.
+_EXPAND_CACHE_SIZE = 64
 
 
 class UnknownSeriesError(KeyError):
@@ -561,46 +472,46 @@ def catalog_names() -> list[str]:
     return sorted(_CATALOG)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_EXPAND_CACHE_SIZE)
 def expand(name: str, bounds: Bounds) -> TruncatedSeries:
     """Expand the named catalog generating function within ``bounds``.
 
-    Internally computed on the cubic hull of ``bounds`` so the axis
-    permutations used by several entries stay well-formed, then cropped.
+    The builder works on ``bounds`` as given, so a thin prism costs only its
+    own grid.
     """
     try:
         builder = _CATALOG[name]
     except KeyError:
         raise UnknownSeriesError(name) from None
-    m = max(bounds)
-    s = builder((m, m, m))
-    if s.bounds != bounds:
-        s = s.crop(bounds)
+    s = builder(bounds)
     for v in s._c:
         checked_count(v)
     return s
 
 
-def total_min(b: int, k: int, h: int, bounds: Bounds | None = None) -> int:
-    """Total minimal inscribed polycubes in a b x k x h prism via the series.
+def family_min(name: str, b: int, k: int, h: int, bounds: Bounds | None = None) -> int:
+    """Minimal inscribed polycubes of one ``GF_VALIDITY`` family in a b x k x h prism.
 
-    Degenerate prisms (a side of length 1) fall back to the 2D/1D formula
-    because the diagonal inclusion-exclusion is not valid there.
+    A prism with a side of length 1 holds only the 2D (or 1D) minimal
+    polyominoes, which count as diagonal; the 3D inclusion-exclusion is not
+    valid there. Below its validity floor a family is empty. Otherwise the
+    count is the series coefficient, read from the expansion on ``bounds``
+    (default: the prism itself).
     """
     if b < 1 or k < 1 or h < 1:
         raise ValueError(f"dimensions must be >= 1: {(b, k, h)}")
     sides = sorted((b, k, h))
     if sides[0] == 1:
-        if sides[1] == 1:
-            return 1  # straight rod
-        return p2d_min(sides[1], sides[2])
-    if bounds is None:
-        m = max(b, k, h)
-        bounds = (m, m, m)
+        return p2d_min(sides[1], sides[2]) if name == "Diag" else 0
+    if any(s < f for s, f in zip(sides, GF_VALIDITY[name])):
+        return 0
+    return expand(name, (b, k, h) if bounds is None else bounds).coeff(b, k, h)
+
+
+def total_min(b: int, k: int, h: int, bounds: Bounds | None = None) -> int:
+    """Total minimal inscribed polycubes in a b x k x h prism via the series."""
     return checked_count(
-        expand("Diag", bounds).coeff(b, k, h)
-        + expand("P2Dx2D", bounds).coeff(b, k, h)
-        + expand("SC", bounds).coeff(b, k, h)
+        sum(family_min(name, b, k, h, bounds) for name in ("Diag", "P2Dx2D", "SC"))
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 from .core import PrismDims
 from .formulas import (
@@ -34,7 +35,7 @@ from .oracle import (
     count_min_inscribed,
     weighted_2d_count,
 )
-from .series import GF_VALIDITY, expand, total_min, volume_sequence
+from .series import expand, family_min, total_min, volume_sequence
 from .core import FamilyTag
 
 # Reference Table 1: rows indexed by family, columns n = 1..8, for the
@@ -159,17 +160,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _series_family_cube(row: str, n: int, bounds: tuple[int, int, int]) -> int:
-    """Family coefficient at (n, n, n), honouring each series' validity floor."""
-    name = _FAMILY_SERIES[row]
-    floor = GF_VALIDITY[name]
-    if tuple(sorted((n, n, n))) < floor:
-        # Below the validity floor the count is known structurally: the only
-        # minimal polycube families in a degenerate or tiny cube are diagonal.
-        return 1 if row == "diag" and n == 1 else 0
-    return expand(name, bounds).coeff(n, n, n)
-
-
 def reproduce_table1(nmax: int = 8) -> VerificationReport:
     """Compare the series engine (and the oracle at small n) to Table 1.
 
@@ -188,7 +178,7 @@ def reproduce_table1(nmax: int = 8) -> VerificationReport:
                 "series",
                 "table1",
                 f"({n},{n},{n})",
-                _series_family_cube(row, n, bounds),
+                family_min(_FAMILY_SERIES[row], n, n, n, bounds),
                 TABLE1[row][n - 1],
             )
         report.check(
@@ -222,25 +212,21 @@ def reproduce_table1(nmax: int = 8) -> VerificationReport:
     return report.finalize()
 
 
-def series_volume_projection(nmax: int) -> list[int]:
-    """Volume-n totals from the series engine, degenerate prisms included.
-
-    Entry n - 1 sums ``total_min`` over all ordered (b, k, h) with
-    b + k + h = n + 2 (``total_min`` itself falls back to the 2D closed form
-    on degenerate prisms, where the 3D inclusion-exclusion is invalid).
-    """
-    bounds = (nmax, nmax, nmax)
+def _volume_projection(nmax: int, count: Callable[[int, int, int], int]) -> list[int]:
+    """Entry n - 1 sums ``count`` over all ordered (b, k, h) with b + k + h = n + 2."""
     out = []
     for n in range(1, nmax + 1):
         m = n + 2
-        total = 0
-        for b in range(1, m - 1):
-            for k in range(1, m - b):
-                h = m - b - k
-                if h >= 1:
-                    total += total_min(b, k, h, bounds)
-        out.append(total)
+        out.append(
+            sum(count(b, k, m - b - k) for b in range(1, m - 1) for k in range(1, m - b))
+        )
     return out
+
+
+def series_volume_projection(nmax: int) -> list[int]:
+    """Volume-n totals from the series engine, degenerate prisms included."""
+    bounds = (nmax, nmax, nmax)
+    return _volume_projection(nmax, lambda b, k, h: total_min(b, k, h, bounds))
 
 
 def reproduce_table2(nmax: int = 10) -> VerificationReport:
@@ -356,20 +342,13 @@ def crosscheck(
                     )
                     families = count_by_family(PrismDims(b, k, h))
                     for row, tag in _FAMILY_ROW.items():
-                        name = _FAMILY_SERIES[row]
-                        floor = GF_VALIDITY[name]
-                        expected = (
-                            expand(name, bounds).coeff(b, k, h)
-                            if tuple(sorted((b, k, h))) >= floor
-                            else 0
-                        )
                         report.check(
                             f"family/{row}/oracle-vs-series/{b}x{k}x{h}",
                             "oracle",
                             "series",
                             f"({b},{k},{h})",
                             families[tag],
-                            expected,
+                            family_min(_FAMILY_SERIES[row], b, k, h, bounds),
                         )
 
     if "formulas" in engines and "series" in engines:
@@ -400,27 +379,18 @@ def crosscheck(
                     seq[n + 2],
                 )
         # The closed diagonal volume formula already carries the degenerate
-        # correction, so the series side must swap the invalid side-1 terms
-        # of the raw expansion for the true 2D/1D counts.
-        diag = expand("Diag", vbounds)
+        # correction, which ``family_min`` applies to the side-1 prisms.
+        projected = _volume_projection(
+            n_vol, lambda b, k, h: family_min("Diag", b, k, h, vbounds)
+        )
         for n in range(1, n_vol + 1):
-            m = n + 2
-            projected = 0
-            for b in range(1, m - 1):
-                for k in range(1, m - b):
-                    h = m - b - k
-                    sides = sorted((b, k, h))
-                    if sides[0] == 1:
-                        projected += 1 if sides[1] == 1 else p2d_min(sides[1], sides[2])
-                    else:
-                        projected += diag.coeff(b, k, h)
             report.check(
                 f"volume/Diag/formula-vs-series/n={n:02d}",
                 "formulas",
                 "series",
                 f"n={n}",
                 diag_volume(n),
-                projected,
+                projected[n - 1],
             )
         projected = series_volume_projection(n_vol)
         for n in range(1, n_vol + 1):

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from polyprism.cli import EX_OVERFLOW, EX_USAGE, run
+import polyprism.cli
+from polyprism.cli import EX_INTERNAL, EX_OVERFLOW, EX_USAGE, run
 from polyprism.core import parse_polycubes
+from polyprism.formulas import p3dmin_thickness2
 
 
 def _run(argv):
@@ -39,6 +41,11 @@ class TestCount:
     def test_overflow_exit_code(self):
         code, _ = _run(["count", "--b", "1", "--k", "200", "--h", "200", "--engine", "formula"])
         assert code == EX_OVERFLOW
+
+    def test_series_on_a_long_thin_prism(self):
+        code, out = _run(["count", "--engine", "series", "--b", "2", "--k", "3", "--h", "400"])
+        assert code == 0
+        assert out.strip() == str(p3dmin_thickness2(3, 400))
 
 
 class TestTables:
@@ -128,3 +135,30 @@ class TestUsage:
     def test_unknown_flag(self):
         code, _ = _run(["count", "--sides", "3"])
         assert code == EX_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--b", "0", "--k", "2", "--h", "2", "--engine", "series"],
+            ["classify", "--b", "2", "--k", "-1", "--h", "2"],
+            ["expand", "--gf", "Stair", "--bounds", "2,-1,2"],
+            ["expand", "--gf", "Stair", "--bounds", "2,x,2"],
+            ["table1", "--nmax", "9"],
+            ["table2", "--nmax", "0"],
+            ["verify", "--max-dim", "1"],
+        ],
+    )
+    def test_out_of_range_input_is_usage_error(self, argv, capsys):
+        code, _ = _run(argv)
+        assert code == EX_USAGE
+        assert capsys.readouterr().err.startswith("usage error")
+
+    @pytest.mark.parametrize("fault", [ArithmeticError, ValueError, IndexError])
+    def test_internal_fault_has_its_own_exit_code(self, fault, monkeypatch, capsys):
+        def broken(*args):
+            raise fault("broken invariant")
+
+        monkeypatch.setattr(polyprism.cli, "total_min", broken)
+        code, _ = _run(["count", "--b", "2", "--k", "2", "--h", "2", "--engine", "series"])
+        assert code == EX_INTERNAL
+        assert "internal error" in capsys.readouterr().err

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from polyprism.formulas import trinom
+from polyprism.formulas import p2d_min, p3dmin_thickness2, p3dmin_thickness3, trinom
 from polyprism.series import (
     GF_VALIDITY,
     BoundsMismatchError,
@@ -11,12 +13,14 @@ from polyprism.series import (
     catalog_names,
     diagonal_sequence,
     expand,
+    family_min,
     to_csv,
     total_min,
     volume_sequence,
 )
 
 B3 = (3, 3, 3)
+CATALOG = ("Diag", "P2Dx2D", "Pc", "SC", "SCa", "SCb", "Stair", "Tripod")
 
 
 class TestTruncatedSeries:
@@ -85,10 +89,23 @@ class TestTruncatedSeries:
 
 class TestCatalog:
     def test_catalog_names_sorted_and_known(self):
-        names = catalog_names()
-        assert names == sorted(names)
-        for required in ("Stair", "Tripod", "Diag", "P2Dx2D", "SC", "SCa", "SCb"):
-            assert required in names
+        assert catalog_names() == list(CATALOG)
+
+    def test_expansion_cache_is_bounded(self):
+        assert expand.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("bounds", [(2, 5, 7), (7, 3, 2), (4, 0, 6)])
+    def test_rectangular_bounds_equal_the_cropped_cube(self, name, bounds):
+        m = max(bounds)
+        assert expand(name, bounds) == expand(name, (m, m, m)).crop(bounds)
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_axis_permutation_commutes_with_expansion(self, name):
+        bounds = (2, 5, 7)
+        for perm in itertools.permutations(range(3)):
+            permuted = tuple(bounds[t] for t in perm)
+            assert expand(name, permuted) == expand(name, bounds).permute(perm)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(UnknownSeriesError):
@@ -148,6 +165,21 @@ class TestTotals:
     def test_total_min_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             total_min(0, 2, 2)
+
+    def test_thin_prisms_match_the_thickness_formulas(self):
+        assert total_min(2, 2, 300) == p3dmin_thickness2(2, 300)
+        assert total_min(3, 5, 200) == p3dmin_thickness3(5, 200)
+
+    def test_family_min_on_degenerate_and_small_prisms(self):
+        assert expand("Diag", (1, 1, 1)).coeff(1, 1, 1) == -2  # invalid raw term
+        assert family_min("Diag", 1, 1, 1) == 1
+        assert family_min("Diag", 3, 1, 5) == p2d_min(3, 5)
+        assert family_min("P2Dx2D", 3, 1, 5) == 0
+        assert family_min("P2Dx2D", 2, 2, 5) == 0
+        assert family_min("SC", 2, 3, 3) == 0
+        assert family_min("SCa", 3, 3, 3) == 48
+        with pytest.raises(ValueError):
+            family_min("Diag", 2, 0, 2)
 
     def test_volume_sequence(self):
         stair = expand("Stair", (4, 4, 4))
