@@ -4,7 +4,7 @@ The CLI is a thin shell: all computation and the oracle's concurrency live
 in the library modules. Exit codes: 0 success (verify: no failures or
 errata), 1 verify found errata only, 2 verify found failed checks,
 3 internal fault (a bug, reported with its traceback), 64 usage error,
-70 count overflow.
+70 count overflow, 73 the --out or --report file cannot be written.
 """
 
 from __future__ import annotations
@@ -23,10 +23,15 @@ from .verify import crosscheck, reproduce_table1, reproduce_table2
 EX_INTERNAL = 3
 EX_USAGE = 64
 EX_OVERFLOW = 70
+EX_CANTCREAT = 73
 
 
 class UsageError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """An output file named on the command line cannot be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,6 +109,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _count_formula(b: int, k: int, h: int) -> int:
     sides = sorted((b, k, h))
     if sides[0] == 1:
@@ -158,8 +171,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     report.finalize()
     print(report.format_table(), end="", file=out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        _write(args.report, report.to_json())
     return report.exit_code()
 
 
@@ -193,8 +205,7 @@ def _cmd_expand(args: argparse.Namespace, out) -> int:
             f"known: {', '.join(catalog_names())}"
         ) from None
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv)
+        _write(args.out, csv)
     else:
         out.write(csv)
     return 0
@@ -224,6 +235,9 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
     except CountOverflowError as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return EX_OVERFLOW
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EX_CANTCREAT
     except Exception as exc:  # the parser validated the input, so this is a bug
         traceback.print_exc(file=sys.stderr)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

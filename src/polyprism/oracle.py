@@ -1,14 +1,22 @@
 """Ground-truth brute-force enumeration of inscribed minimal polycubes.
 
-The enumerator is a canonical-growth search over the cells of the box:
-cells are totally ordered lexicographically and every connected set is
-generated exactly once from its minimal cell, by extending a frontier of
-neighbours larger than the root (removed candidates are never revisited).
+A shape is one ``int`` bitmask over the cells of the box: cell (x, y, z) of
+a b x k x h prism is bit ``(x*k + y)*h + z``, so bit order is lexicographic
+cell order. The search, the classifier and the per-cell tables all work on
+such masks.
 
-Pruning for inscribed targets uses the additive face-deficit bound: a cell
-joined to the current set differs from some existing cell in exactly one
-coordinate, so one addition can shrink the total bounding-box deficit by at
-most one. A branch whose deficit exceeds its remaining budget is dead.
+The enumerator is a canonical-growth search (Redelmeier, "Counting
+polyominoes: yet another attack", 1981): every connected set is generated
+exactly once from its least cell, by extending a frontier of untried
+neighbours larger than the root; a tried candidate is never revisited.
+
+Pruning for inscribed targets uses the face deficit, the number of unit
+steps by which the bounding box falls short of the six faces. A cell joined
+to the set lies at most one step outside its bounding box, so one addition
+lowers the deficit by at most one. The slack (cells still to add minus the
+deficit) therefore never grows; once it is zero, as it is from the root on
+for a minimal-volume target, only cells outside the current box can still
+be added and the frontier drops the others.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple
 
 from .core import (
     Cell,
@@ -47,19 +56,77 @@ class EnumerationConfig:
             raise ValueError(f"corner flags must be 0/1: {self.corner_constraint}")
 
 
-def _box_geometry(b: int, k: int, h: int):
-    """Index <-> coordinate tables and the 6-neighbour adjacency list."""
+class _Orientation(NamedTuple):
+    """One of the four space diagonals, seen from its near corner."""
+
+    low: list[int]  # cell -> sub-box between the near corner and the cell
+    high: list[int]  # cell -> sub-box between the cell and the far corner
+    near: tuple[int, int, int]  # the three face planes through the near corner
+    far: tuple[int, int, int]
+
+
+class _Box(NamedTuple):
+    """Per-cell masks of one prism, indexed by cell index."""
+
+    coords: list[Coords]
+    nbr: list[int]  # face neighbours
+    plane: tuple[list[int], list[int], list[int]]  # per axis: plane through the cell
+    steps: tuple[int, ...]  # h, k*h and the targets of the +y, -y, +z, -z shifts
+    orients: tuple[_Orientation, ...]
+
+
+@lru_cache(maxsize=32)
+def _box(b: int, k: int, h: int) -> _Box:
     coords = [(x, y, z) for x in range(b) for y in range(k) for z in range(h)]
-    index = {c: i for i, c in enumerate(coords)}
-    nbrs = []
-    for x, y, z in coords:
-        adj = []
-        for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-            n = (x + dx, y + dy, z + dz)
-            if 0 <= n[0] < b and 0 <= n[1] < k and 0 <= n[2] < h:
-                adj.append(index[n])
-        nbrs.append(tuple(adj))
-    return coords, nbrs
+    sizes = (b, k, h)
+    planes = [[0] * n for n in sizes]  # axis -> coordinate -> plane mask
+    nbr = []
+    for i, c in enumerate(coords):
+        for a in range(3):
+            planes[a][c[a]] |= 1 << i
+        m = 0
+        for a, step in enumerate((k * h, h, 1)):
+            if c[a] > 0:
+                m |= 1 << (i - step)
+            if c[a] < sizes[a] - 1:
+                m |= 1 << (i + step)
+        nbr.append(m)
+    # per axis: coordinate t -> planes 0..t, and planes t..n-1
+    upto = [[sum(p[: t + 1]) for t in range(len(p))] for p in planes]
+    down = [[sum(p[t:]) for t in range(len(p))] for p in planes]
+    fx, fy, fz = b - 1, k - 1, h - 1
+    px, py, pz = planes
+    orients = []
+    for flip_y in (False, True):
+        for flip_z in (False, True):
+            ylo, yhi = (down[1], upto[1]) if flip_y else (upto[1], down[1])
+            zlo, zhi = (down[2], upto[2]) if flip_z else (upto[2], down[2])
+            orients.append(
+                _Orientation(
+                    low=[upto[0][x] & ylo[y] & zlo[z] for x, y, z in coords],
+                    high=[down[0][x] & yhi[y] & zhi[z] for x, y, z in coords],
+                    near=(px[0], py[fy] if flip_y else py[0], pz[fz] if flip_z else pz[0]),
+                    far=(px[fx], py[0] if flip_y else py[fy], pz[0] if flip_z else pz[fz]),
+                )
+            )
+    full = (1 << len(coords)) - 1
+    return _Box(
+        coords=coords,
+        nbr=nbr,
+        plane=tuple([p[c[a]] for c in coords] for a, p in enumerate(planes)),
+        steps=(h, k * h, full ^ py[0], full ^ py[fy], full ^ pz[0], full ^ pz[fz]),
+        orients=tuple(orients),
+    )
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _search(
@@ -69,92 +136,84 @@ def _search(
     volume: int,
     inscribed_only: bool,
     roots: range | list[int] | None = None,
-    visit: Callable[[list[int], list[Coords]], None] | None = None,
+    visit: Callable[[int], None] | None = None,
 ) -> int:
     n_cells = b * k * h
     if volume > n_cells:
         return 0
     if inscribed_only and volume < b + k + h - 2:
         return 0
-    coords, nbrs = _box_geometry(b, k, h)
-    faces = (b - 1, k - 1, h - 1)
-    target = volume
-    count = 0
+    box = _box(b, k, h)
+    nbr = box.nbr
+    px, py, pz = box.plane
     if roots is None:
-        roots = range(n_cells)
+        # the least cell of an inscribed shape lies on the x = 0 face
+        roots = range(k * h if inscribed_only else n_cells)
 
-    if target == 1:
-        for r in roots:
-            if not inscribed_only or n_cells == 1:
-                count += 1
-                if visit:
-                    visit([r], coords)
+    def leaves(shape: int, ext: int) -> int:
+        if visit is not None:
+            for i in _bits(ext):
+                visit(shape | 1 << i)
+        return ext.bit_count()
+
+    def tight(shape, ext, seen, bx, by, bz, rem) -> int:
+        """Completions of ``shape`` by ``rem`` >= 2 cells from the frontier
+        ``ext``, at zero slack: every cell added leaves the bounding box.
+
+        ``bx & by & bz`` is the bounding box of ``shape``: each of them is
+        the union of the planes along one axis that the shape meets.
+        """
+        count = 0
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            v = low.bit_length() - 1
+            new = nbr[v] & ~seen
+            cx, cy, cz = bx | px[v], by | py[v], bz | pz[v]
+            nxt = (ext | new) & ~(cx & cy & cz)
+            if rem == 2:
+                count += nxt.bit_count() if visit is None else leaves(shape | low, nxt)
+            elif nxt:
+                count += tight(shape | low, nxt, seen | new, cx, cy, cz, rem - 1)
         return count
 
-    seen = bytearray(n_cells)
+    def grow(shape, ext, seen, bx, by, bz, slack, rem) -> int:
+        """As ``tight``, at any slack: a cell inside the box uses one."""
+        if slack == 0:
+            return tight(shape, ext, seen, bx, by, bz, rem)
+        count = 0
+        inside = bx & by & bz
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            v = low.bit_length() - 1
+            new = nbr[v] & ~seen
+            nxt = ext | new
+            cx, cy, cz = bx | px[v], by | py[v], bz | pz[v]
+            s = slack - 1 if low & inside else slack
+            if s == 0:
+                nxt &= ~(cx & cy & cz)
+            if rem == 2:
+                count += nxt.bit_count() if visit is None else leaves(shape | low, nxt)
+            else:
+                count += grow(shape | low, nxt, seen | new, cx, cy, cz, s, rem - 1)
+        return count
 
+    count = 0
+    rem = volume - 1
+    full = (1 << n_cells) - 1
+    slack = volume - (b + k + h - 2)
     for root in roots:
-        rx, ry, rz = coords[root]
-        ext0 = [u for u in nbrs[root] if u > root]
-        if not ext0:
-            continue
-        seen[root] = 1
-        for u in ext0:
-            seen[u] = 1
-        cells = [root]
-
-        def rec(csize, ext, x0, x1, y0, y1, z0, z1):
-            nonlocal count
-            rem = target - csize
-            leaf = csize + 1 == target
-            for i, v in enumerate(ext):
-                x, y, z = coords[v]
-                nx0 = x if x < x0 else x0
-                nx1 = x if x > x1 else x1
-                ny0 = y if y < y0 else y0
-                ny1 = y if y > y1 else y1
-                nz0 = z if z < z0 else z0
-                nz1 = z if z > z1 else z1
-                if leaf:
-                    if not inscribed_only or (
-                        nx0 == 0
-                        and ny0 == 0
-                        and nz0 == 0
-                        and nx1 == faces[0]
-                        and ny1 == faces[1]
-                        and nz1 == faces[2]
-                    ):
-                        count += 1
-                        if visit:
-                            cells.append(v)
-                            visit(cells, coords)
-                            cells.pop()
-                    continue
-                if inscribed_only:
-                    deficit = (
-                        nx0
-                        + (faces[0] - nx1)
-                        + ny0
-                        + (faces[1] - ny1)
-                        + nz0
-                        + (faces[2] - nz1)
-                    )
-                    if deficit > rem - 1:
-                        continue
-                new = [u for u in nbrs[v] if u > root and not seen[u]]
-                for u in new:
-                    seen[u] = 1
-                cells.append(v)
-                rec(csize + 1, ext[i + 1 :] + new, nx0, nx1, ny0, ny1, nz0, nz1)
-                cells.pop()
-                for u in new:
-                    seen[u] = 0
-
-        rec(1, ext0, rx, rx, ry, ry, rz, rz)
-        seen[root] = 0
-        for u in ext0:
-            seen[u] = 0
-
+        bit = 1 << root
+        below = (bit << 1) - 1
+        ext = nbr[root] & ~below
+        if rem < 2:
+            count += leaves(bit, ext) if rem else leaves(0, bit)
+        elif inscribed_only:
+            count += grow(bit, ext, below | ext, px[root], py[root], pz[root], slack, rem)
+        else:
+            # the whole box counts as covered, so the slack never reaches zero
+            count += grow(bit, ext, below | ext, full, full, full, rem, rem)
     return count
 
 
@@ -184,12 +243,12 @@ def count_connected(cfg: EnumerationConfig) -> int:
             _search(b, k, h, cfg.volume, cfg.inscribed_only, roots=[0])
         )
     workers = _threads()
-    n_cells = b * k * h
-    if workers > 1 and n_cells > 8:
+    n_roots = k * h if cfg.inscribed_only else b * k * h
+    if workers > 1 and n_roots > 8:
         chunks = []
-        step = max(1, n_cells // (4 * workers))
-        for lo in range(0, n_cells, step):
-            chunks.append((b, k, h, cfg.volume, cfg.inscribed_only, lo, min(lo + step, n_cells)))
+        step = max(1, n_roots // (4 * workers))
+        for lo in range(0, n_roots, step):
+            chunks.append((b, k, h, cfg.volume, cfg.inscribed_only, lo, min(lo + step, n_roots)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return checked_count(sum(pool.map(_count_root_chunk, chunks)))
     return checked_count(_search(b, k, h, cfg.volume, cfg.inscribed_only))
@@ -226,189 +285,130 @@ def weighted_2d_count(b: int, k: int) -> int:
     bijection; the 1 x 1 degenerate case yields 1 (single cell, degree 0),
     consistent with the unique minimal polycube of the 2 x 1 x 1 prism.
     """
-    dims = PrismDims(b, k, 1)
+    nbr = _box(b, k, 1).nbr
     total = 0
 
-    def visit(cells: list[int], coords) -> None:
+    def visit(shape: int) -> None:
         nonlocal total
-        inset = set(cells)
-        for c in cells:
-            x, y, _ = coords[c]
-            deg = 0
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                n = (x + dx, y + dy)
-                if 0 <= n[0] < b and 0 <= n[1] < k and (n[0] * k + n[1]) in inset:
-                    deg += 1
-            total += 1 << deg
-    # index layout for h=1 is (x*k + y)*1 + z == x*k + y
+        for c in _bits(shape):
+            total += 1 << (nbr[c] & shape).bit_count()
 
-    _search(b, k, 1, min_volume(dims), True, visit=visit)
+    _search(b, k, 1, min_volume(PrismDims(b, k, 1)), True, visit=visit)
     return checked_count(total)
 
 
-_STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+def _flood(seed: int, within: int, box: _Box) -> int:
+    """Cells of ``within`` face-connected to ``seed``, one layer per pass."""
+    h, kh, up_y, down_y, up_z, down_z = box.steps
+    reach = seed
+    while True:
+        grown = within & (
+            reach
+            | reach << kh
+            | reach >> kh
+            | (reach << h) & up_y
+            | (reach >> h) & down_y
+            | (reach << 1) & up_z
+            | (reach >> 1) & down_z
+        )
+        if grown == reach:
+            return reach
+        reach = grown
 
 
-def _connected(cells: set[Coords]) -> bool:
-    if not cells:
-        return True
-    start = next(iter(cells))
-    todo = [start]
-    seen = {start}
-    while todo:
-        x, y, z = todo.pop()
-        for dx, dy, dz in _STEPS:
-            n = (x + dx, y + dy, z + dz)
-            if n in cells and n not in seen:
-                seen.add(n)
-                todo.append(n)
-    return len(seen) == len(cells)
-
-
-def _components(cells: set[Coords]) -> list[set[Coords]]:
-    left = set(cells)
-    out: list[set[Coords]] = []
-    while left:
-        start = left.pop()
-        todo = [start]
-        comp = {start}
-        while todo:
-            x, y, z = todo.pop()
-            for dx, dy, dz in _STEPS:
-                n = (x + dx, y + dy, z + dz)
-                if n in left:
-                    left.discard(n)
-                    comp.add(n)
-                    todo.append(n)
-        out.append(comp)
-    return out
-
-
-def _is_stair(cells: set[Coords], u: Coords, v: Coords) -> bool:
-    """True iff ``cells`` is a coordinate-monotone lattice path from u to v."""
-    if len(cells) != sum(v[a] - u[a] for a in range(3)) + 1:
-        return False
-    cur = u
-    steps = 1
-    while cur != v:
-        succ = [
-            n
-            for n in (
-                (cur[0] + 1, cur[1], cur[2]),
-                (cur[0], cur[1] + 1, cur[2]),
-                (cur[0], cur[1], cur[2] + 1),
-            )
-            if n in cells
-        ]
-        if len(succ) != 1:
-            return False
-        cur = succ[0]
-        steps += 1
-    return steps == len(cells)
-
-
-def _is_diagonal(cells: frozenset[Coords], dims: tuple[int, int, int]) -> bool:
+def _is_diagonal(shape: int, box: _Box) -> bool:
     """Hook-stair-hook decomposition test along one of the four diagonals.
 
     A diagonal shape splits, for some orientation and cut cells u <= v, into
     a corner polycube filling the sub-box below u, a monotone stair from u
     to v, and a corner polycube filling the sub-box above v. Corner
     polycubes of a sub-box are exactly its minimal inscribed polycubes that
-    contain the sub-box corner, so the three sizes add up to the whole.
+    contain the sub-box corner. Every stair cell is a cut cell with a
+    one-cell stair, so it suffices to find one cell u such that every cell
+    of the shape lies below or above it.
+
+    The part below u and the part above u then share only u, and no cell of
+    one touches a cell of the other, so both are connected because the
+    shape is. If they meet the near and the far faces respectively, they
+    are inscribed in the sub-boxes on either side of u, whose minimal
+    volumes add up to the shape's volume plus one. That is the number of
+    cells the two parts hold together, so both are minimal: corner
+    polycubes.
     """
-    far = (dims[0] - 1, dims[1] - 1, dims[2] - 1)
-    for flip_y, flip_z in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        oriented = frozenset(
-            (
-                x,
-                y if flip_y == 1 else far[1] - y,
-                z if flip_z == 1 else far[2] - z,
-            )
-            for x, y, z in cells
-        )
-        for u in oriented:
-            low = {c for c in oriented if all(c[a] <= u[a] for a in range(3))}
-            if len(low) != sum(u) + 1:
-                continue
-            if not all(any(c[a] == 0 for c in low) for a in range(3)):
-                continue
-            if not _connected(low):
-                continue
-            for v in oriented:
-                if not all(u[a] <= v[a] for a in range(3)):
-                    continue
-                high = {c for c in oriented if all(c[a] >= v[a] for a in range(3))}
-                if len(high) != sum(far[a] - v[a] for a in range(3)) + 1:
-                    continue
-                if not all(any(c[a] == far[a] for c in high) for a in range(3)):
-                    continue
-                stair = {
-                    c for c in oriented if all(u[a] <= c[a] <= v[a] for a in range(3))
-                }
-                if not _is_stair(stair, u, v):
-                    continue
-                if len(low | stair | high) != len(oriented):
-                    continue
-                if _connected(high):
-                    return True
+    for o in box.orients:
+        rest = shape
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            below, above = o.low[u], o.high[u]
+            if (
+                not shape & ~(below | above)
+                and all(shape & below & p for p in o.near)
+                and all(shape & above & p for p in o.far)
+            ):
+                return True
     return False
 
 
-def _corner_plane_normal(comp: set[Coords], corner: Coords) -> int | None:
-    """Normal axis if ``comp`` is a planar 2D corner-polyomino cornered at
-    ``corner`` (i.e. minimal in its bounding rectangle, with ``corner`` on a
-    rectangle corner); None otherwise."""
-    for normal in range(3):
-        if len({c[normal] for c in comp}) != 1:
-            continue
-        axes = [a for a in range(3) if a != normal]
-        lo = [min(c[a] for c in comp) for a in axes]
-        hi = [max(c[a] for c in comp) for a in axes]
-        if len(comp) != (hi[0] - lo[0]) + (hi[1] - lo[1]) + 1:
-            continue
-        if corner[axes[0]] in (lo[0], hi[0]) and corner[axes[1]] in (lo[1], hi[1]):
-            return normal
-    return None
+def _corner_plane_normal(piece: int, c: int, box: _Box) -> int | None:
+    """Normal axis if ``piece`` lies in a plane through cell ``c`` and on one
+    side of ``c`` along each axis, so that ``c`` is a corner of its bounding
+    rectangle; None otherwise. A straight rod lies in two planes and gets
+    the first normal."""
+    if not any(
+        not piece & ~octant for o in box.orients for octant in (o.low[c], o.high[c])
+    ):
+        return None
+    return next((a for a in range(3) if not piece & ~box.plane[a][c]), None)
 
 
-def _skew_kind(cells: frozenset[Coords]) -> FamilyTag | None:
+def _skew_kind(shape: int, box: _Box) -> FamilyTag | None:
     """Skew-cross test: a central cell of degree three that is the corner
     cell of three mutually perpendicular 2D corner-polyominoes.
 
     Type a has two contact faces on the same axis (paired arms); type b has
     its three contact faces meeting around a vertex (all axes distinct).
+
+    Each arm with the centre is connected, so it holds at least one cell
+    more than the sum of its rectangle's two side extents. The prism's
+    extents add up to at most the sum of those of the three rectangles, and
+    the shape holds one cell more than the prism's extents while the three
+    pieces share only the centre. So each piece is minimal in its rectangle:
+    a corner polyomino.
     """
-    for c in cells:
-        neighbours = [
-            n
-            for n in (
-                (c[0] + dx, c[1] + dy, c[2] + dz) for dx, dy, dz in _STEPS
-            )
-            if n in cells
-        ]
-        if len(neighbours) != 3:
+    plane = box.plane
+    for c in _bits(shape):
+        attached = box.nbr[c] & shape
+        if attached.bit_count() != 3:
             continue
-        arms = _components(set(cells) - {c})
-        if len(arms) != 3:
-            continue
-        normals: list[int] = []
-        contact_axes: list[int] = []
-        for arm in arms:
-            attached = [n for n in neighbours if n in arm]
-            if len(attached) != 1:
-                break
-            normal = _corner_plane_normal(arm | {c}, c)
+        centre = 1 << c
+        rest = shape & ~centre
+        covered = 0
+        normals: set[int] = set()
+        contact_axes: set[int] = set()
+        for n in _bits(attached):
+            if covered >> n & 1:
+                break  # two contacts on one arm
+            arm = _flood(1 << n, rest, box)
+            covered |= arm
+            normal = _corner_plane_normal(arm | centre, c, box)
             if normal is None:
                 break
-            normals.append(normal)
-            n = attached[0]
-            contact_axes.append(next(a for a in range(3) if n[a] != c[a]))
+            normals.add(normal)
+            contact_axes.add(next(a for a in range(3) if not plane[a][c] >> n & 1))
         else:
-            if len(set(normals)) == 3:
-                if len(set(contact_axes)) == 3:
+            if len(normals) == 3:
+                if len(contact_axes) == 3:
                     return FamilyTag.SKEW_CROSS_B
                 return FamilyTag.SKEW_CROSS_A
     return None
+
+
+def _family(shape: int, box: _Box) -> FamilyTag:
+    if _is_diagonal(shape, box):
+        return FamilyTag.DIAGONAL
+    return _skew_kind(shape, box) or FamilyTag.TWO_D_X_TWO_D
 
 
 def classify(p: Polycube) -> FamilyTag:
@@ -424,27 +424,18 @@ def classify(p: Polycube) -> FamilyTag:
         raise ValueError("classify expects an inscribed polycube")
     if len(p) != min_volume(p.dims):
         raise ValueError("classify expects a minimal-volume polycube")
-    cells = frozenset(c.as_tuple() for c in p.cells)
-    if _is_diagonal(cells, p.dims.as_tuple()):
-        return FamilyTag.DIAGONAL
-    kind = _skew_kind(cells)
-    if kind is not None:
-        return kind
-    return FamilyTag.TWO_D_X_TWO_D
+    b, k, h = p.dims.as_tuple()
+    shape = sum(1 << ((c.x * k + c.y) * h + c.z) for c in p.cells)
+    return _family(shape, _box(b, k, h))
 
 
 def count_by_family(d: PrismDims) -> dict[FamilyTag, int]:
     """Enumerate the minimal inscribed polycubes of ``d`` and tally families."""
     counts = {tag: 0 for tag in FamilyTag}
-    dims = d.as_tuple()
+    box = _box(d.b, d.k, d.h)
 
-    def visit(cell_ids: list[int], coords) -> None:
-        cells = frozenset(coords[i] for i in cell_ids)
-        if _is_diagonal(cells, dims):
-            counts[FamilyTag.DIAGONAL] += 1
-            return
-        kind = _skew_kind(cells)
-        counts[kind if kind is not None else FamilyTag.TWO_D_X_TWO_D] += 1
+    def visit(shape: int) -> None:
+        counts[_family(shape, box)] += 1
 
     _search(d.b, d.k, d.h, min_volume(d), True, visit=visit)
     for tag in counts:
@@ -454,10 +445,11 @@ def count_by_family(d: PrismDims) -> dict[FamilyTag, int]:
 
 def iter_min_inscribed(d: PrismDims) -> Iterator[Polycube]:
     """Yield every minimal inscribed polycube of the prism exactly once."""
+    coords = _box(d.b, d.k, d.h).coords
     found: list[Polycube] = []
 
-    def visit(cells: list[int], coords) -> None:
-        found.append(Polycube(d, [Cell(*coords[c]) for c in cells]))
+    def visit(shape: int) -> None:
+        found.append(Polycube(d, [Cell(*coords[c]) for c in _bits(shape)]))
 
     _search(d.b, d.k, d.h, min_volume(d), True, visit=visit)
     return iter(found)

@@ -361,10 +361,12 @@ def _corner(bounds: Bounds, u: int, v: int) -> TruncatedSeries:
 def _two_diag(bounds: Bounds, w: int) -> TruncatedSeries:
     """(1/uv) * corner(u, v)^2 * w/(1-w)^2: the pilar runs along w."""
     u, v = _others(w)
-    p = tuple(n + (t != w) for t, n in enumerate(bounds))
-    corner = _corner(p, u, v)
+    # the corner has no w terms, so it is squared on its own plane
+    plane = tuple(0 if t == w else n + 1 for t, n in enumerate(bounds))
+    corner = _corner(plane, u, v)
     sq = (corner * corner).shift_down(_e(u, v))
-    return _over(sq.shift_up(_e(w)), [_den(w), _den(w)])
+    times_w = {tuple(i + (t == w) for t, i in enumerate(e)): c for e, c in sq.items()}
+    return _rat(bounds, times_w, [_den(w), _den(w)])
 
 
 def _build_diag(bounds: Bounds) -> TruncatedSeries:

@@ -392,7 +392,9 @@ def crosscheck(
                 diag_volume(n),
                 projected[n - 1],
             )
-        projected = series_volume_projection(n_vol)
+        projected = _volume_projection(
+            n_vol, lambda b, k, h: total_min(b, k, h, vbounds)
+        )
         for n in range(1, n_vol + 1):
             report.check(
                 f"volume/total/formula-vs-series/n={n:02d}",

@@ -83,6 +83,9 @@ class TestCriterion3Oracle:
     def test_cube_four(self):
         assert count_min_inscribed(PrismDims(4, 4, 4)) == 87056
 
+    def test_cube_five(self):
+        assert count_min_inscribed(PrismDims(5, 5, 5)) == 2256145 == total_min(5, 5, 5)
+
 
 class TestCriterion4Partition:
     def test_per_family_counts_match_series(self):

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import polyprism.cli
-from polyprism.cli import EX_INTERNAL, EX_OVERFLOW, EX_USAGE, run
+from polyprism.cli import EX_CANTCREAT, EX_INTERNAL, EX_OVERFLOW, EX_USAGE, run
 from polyprism.core import parse_polycubes
 from polyprism.formulas import p3dmin_thickness2
 
@@ -77,6 +77,14 @@ class TestVerify:
         assert payload["errata"] == []
         assert all(r["passed"] for r in payload["runs"])
 
+    def test_unwritable_report_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code, out = _run(["verify", "--max-dim", "2", "--report", str(target)])
+        assert code == EX_CANTCREAT
+        assert "0 failures, 0 errata" in out
+        err = capsys.readouterr().err
+        assert err.startswith("output error") and "Traceback" not in err
+
 
 class TestList:
     def test_streams_parseable_polycubes(self):
@@ -117,6 +125,13 @@ class TestExpand:
         code, _ = _run(["expand", "--gf", "Stair", "--bounds", "2,2,2", "--out", str(target)])
         assert code == 0
         assert target.read_text().startswith("b,k,h,coefficient\n")
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "stair.csv"
+        code, out = _run(["expand", "--gf", "Stair", "--bounds", "1,1,1", "--out", str(target)])
+        assert code == EX_CANTCREAT and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("output error") and "Traceback" not in err
 
     def test_unknown_gf(self):
         code, _ = _run(["expand", "--gf", "Bogus", "--bounds", "2,2,2"])

@@ -1,4 +1,4 @@
-import os
+import itertools
 
 import pytest
 
@@ -6,6 +6,7 @@ from polyprism.core import Cell, FamilyTag, Polycube, PrismDims, is_inscribed, m
 from polyprism.formulas import p2d_min, p3d_corner_rec, p3dmin_thickness2
 from polyprism.oracle import (
     EnumerationConfig,
+    _search,
     _threads,
     classify,
     count_2d_min,
@@ -42,6 +43,49 @@ class TestCountConnected:
     def test_inscribed_below_min_volume_is_zero(self):
         cfg = EnumerationConfig(dims=PrismDims(3, 3, 3), volume=6, inscribed_only=True)
         assert count_connected(cfg) == 0
+
+
+def _naive_shapes(b, k, h, volume, inscribed_only):
+    """Masks of every connected ``volume``-cell set, by testing all subsets."""
+    coords = [(x, y, z) for x in range(b) for y in range(k) for z in range(h)]
+    found = set()
+    for cells in itertools.combinations(coords, volume):
+        cellset = set(cells)
+        todo, reached = [cells[0]], {cells[0]}
+        while todo:
+            x, y, z = todo.pop()
+            for n in ((x + 1, y, z), (x - 1, y, z), (x, y + 1, z),
+                      (x, y - 1, z), (x, y, z + 1), (x, y, z - 1)):
+                if n in cellset and n not in reached:
+                    reached.add(n)
+                    todo.append(n)
+        if len(reached) < volume:
+            continue
+        if inscribed_only and not all(
+            {0, extent - 1} <= {c[a] for c in cells}
+            for a, extent in enumerate((b, k, h))
+        ):
+            continue
+        found.add(sum(1 << ((x * k + y) * h + z) for x, y, z in cells))
+    return found
+
+
+class TestSearchPaths:
+    """Minimal and slack configurations; with slack, cells inside the
+    bounding box may be added."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 3)])
+    @pytest.mark.parametrize(
+        "extra,inscribed_only",
+        [(0, True), (1, True), (2, True), (-4, False), (-3, False), (-2, False), (0, False)],
+    )
+    def test_matches_naive_subsets(self, dims, extra, inscribed_only):
+        volume = sum(dims) - 2 + extra
+        seen = []
+        count = _search(*dims, volume, inscribed_only, visit=seen.append)
+        expected = _naive_shapes(*dims, volume, inscribed_only)
+        assert count == len(seen) == len(expected) > 0
+        assert set(seen) == expected
 
 
 class TestMinimalCounts:
@@ -193,3 +237,10 @@ class TestThreads:
         serial = count_min_inscribed(PrismDims(3, 3, 3))
         monkeypatch.setenv("POLYCUBE_THREADS", "2")
         assert count_min_inscribed(PrismDims(3, 3, 3)) == serial
+
+    def test_parallel_chunks_split_the_root_slab(self, monkeypatch):
+        # 12 roots on the x = 0 face of a non-cubic prism, in chunks of 1
+        monkeypatch.delenv("POLYCUBE_THREADS", raising=False)
+        serial = count_min_inscribed(PrismDims(2, 3, 4))
+        monkeypatch.setenv("POLYCUBE_THREADS", "2")
+        assert count_min_inscribed(PrismDims(2, 3, 4)) == serial == 1076
