@@ -3,8 +3,9 @@
 The CLI is a thin shell: all computation and the oracle's concurrency live
 in the library modules. Exit codes: 0 success (verify: no failures or
 errata), 1 verify found errata only, 2 verify found failed checks,
-3 internal fault (a bug, reported with its traceback), 64 usage error,
-70 count overflow, 73 the --out or --report file cannot be written.
+3 internal fault (a bug, reported with its traceback), 64 usage error
+(bad arguments or a bad POLYCUBE_THREADS), 70 count overflow, 73 the
+--out or --report file cannot be written.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ from typing import Callable, Sequence
 
 from .core import CountOverflowError, FamilyTag, PrismDims, format_polycube
 from .formulas import p2d_min, p3dmin_thickness2, p3dmin_thickness3
-from .oracle import classify, count_by_family, count_min_inscribed, iter_min_inscribed
+from .oracle import (
+    ThreadsSettingError,
+    classify,
+    count_by_family,
+    count_min_inscribed,
+    iter_min_inscribed,
+)
 from .series import UnknownSeriesError, catalog_names, expand, to_csv, total_min
 from .verify import crosscheck, reproduce_table1, reproduce_table2
 
@@ -229,7 +236,7 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, out)
-    except UsageError as exc:
+    except (UsageError, ThreadsSettingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     except CountOverflowError as exc:

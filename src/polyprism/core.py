@@ -152,22 +152,6 @@ def is_inscribed(p: Polycube) -> bool:
     return all(lo) and all(hi)
 
 
-def degree(p: Polycube, c: Cell) -> int:
-    """Number of cells of ``p`` sharing a face with ``c``."""
-    if c not in p:
-        raise ValueError(f"cell {c} not in polycube")
-    coords = {q.as_tuple() for q in p.cells}
-    x, y, z = c.as_tuple()
-    return sum((x + dx, y + dy, z + dz) in coords for dx, dy, dz in _FACE_STEPS)
-
-
-def project(p: Polycube, axis: str) -> frozenset[tuple[int, int]]:
-    """Orthogonal projection of ``p`` along ``axis`` ('x', 'y' or 'z')."""
-    idx = {"x": 0, "y": 1, "z": 2}[axis]
-    keep = [a for a in range(3) if a != idx]
-    return frozenset((c.as_tuple()[keep[0]], c.as_tuple()[keep[1]]) for c in p.cells)
-
-
 def format_polycube(p: Polycube) -> str:
     """Render in the line-oriented text format used by the CLI."""
     lines = [f"dims {p.dims.b} {p.dims.k} {p.dims.h}"]

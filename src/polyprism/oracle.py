@@ -217,13 +217,20 @@ def _search(
     return count
 
 
+class ThreadsSettingError(ValueError):
+    """``POLYCUBE_THREADS`` is set to something other than a positive integer."""
+
+
 def _threads() -> int:
     raw = os.environ.get("POLYCUBE_THREADS", "")
     if not raw:
         return 1
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise ValueError(f"POLYCUBE_THREADS must be a positive integer, got {raw}")
+        raise ThreadsSettingError(f"POLYCUBE_THREADS must be a positive integer, got {raw!r}")
     return value
 
 
@@ -444,12 +451,15 @@ def count_by_family(d: PrismDims) -> dict[FamilyTag, int]:
 
 
 def iter_min_inscribed(d: PrismDims) -> Iterator[Polycube]:
-    """Yield every minimal inscribed polycube of the prism exactly once."""
-    coords = _box(d.b, d.k, d.h).coords
-    found: list[Polycube] = []
+    """Yield every minimal inscribed polycube of the prism exactly once.
 
-    def visit(shape: int) -> None:
-        found.append(Polycube(d, [Cell(*coords[c]) for c in _bits(shape)]))
-
-    _search(d.b, d.k, d.h, min_volume(d), True, visit=visit)
-    return iter(found)
+    The search runs one root at a time, in the order of a whole search, and
+    only that root's masks are held while its shapes are yielded.
+    """
+    b, k, h = d.as_tuple()
+    coords = _box(b, k, h).coords
+    for root in range(k * h):  # the roots of an inscribed search: the x = 0 face
+        found: list[int] = []
+        _search(b, k, h, min_volume(d), True, roots=[root], visit=found.append)
+        for shape in found:
+            yield Polycube(d, [Cell(*coords[c]) for c in _bits(shape)])

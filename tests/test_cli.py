@@ -168,6 +168,14 @@ class TestUsage:
         assert code == EX_USAGE
         assert capsys.readouterr().err.startswith("usage error")
 
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_bad_thread_count_is_usage_error(self, threads, monkeypatch, capsys):
+        monkeypatch.setenv("POLYCUBE_THREADS", threads)
+        code, _ = _run(["count", "--b", "2", "--k", "2", "--h", "2", "--engine", "oracle"])
+        assert code == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: POLYCUBE_THREADS") and err.count("\n") == 1
+
     @pytest.mark.parametrize("fault", [ArithmeticError, ValueError, IndexError])
     def test_internal_fault_has_its_own_exit_code(self, fault, monkeypatch, capsys):
         def broken(*args):

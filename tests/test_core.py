@@ -7,12 +7,10 @@ from polyprism.core import (
     Polycube,
     PrismDims,
     checked_count,
-    degree,
     format_polycube,
     is_inscribed,
     min_volume,
     parse_polycubes,
-    project,
 )
 
 
@@ -104,20 +102,6 @@ class TestPredicates:
         assert is_inscribed(_rod(3))
         partial = Polycube(PrismDims(3, 1, 1), [Cell(0, 0, 0), Cell(1, 0, 0)])
         assert not is_inscribed(partial)
-
-    def test_degree(self):
-        rod = _rod(3)
-        assert degree(rod, Cell(1, 0, 0)) == 2
-        assert degree(rod, Cell(0, 0, 0)) == 1
-        with pytest.raises(ValueError):
-            degree(rod, Cell(0, 0, 1))
-
-    def test_project(self):
-        p = Polycube(
-            PrismDims(2, 2, 1), [Cell(0, 0, 0), Cell(1, 0, 0), Cell(1, 1, 0)]
-        )
-        assert project(p, "z") == {(0, 0), (1, 0), (1, 1)}
-        assert project(p, "x") == {(0, 0), (1, 0)}
 
 
 class TestTextFormat:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import polyprism.oracle
 from polyprism.core import Cell, FamilyTag, Polycube, PrismDims, is_inscribed, min_volume
 from polyprism.formulas import p2d_min, p3d_corner_rec, p3dmin_thickness2
 from polyprism.oracle import (
@@ -148,6 +149,27 @@ class TestIteration:
         for p in shapes:
             assert len(p) == min_volume(d)
             assert is_inscribed(p)
+
+    def test_streams_in_search_order(self):
+        d = PrismDims(2, 3, 4)
+        masks = []
+        _search(2, 3, 4, min_volume(d), True, visit=masks.append)
+        k, h = d.k, d.h
+        streamed = [
+            sum(1 << ((c.x * k + c.y) * h + c.z) for c in p) for p in iter_min_inscribed(d)
+        ]
+        assert streamed == masks
+
+    def test_first_shape_searches_one_root(self, monkeypatch):
+        searched = []
+
+        def recording(*args, roots=None, visit=None):
+            searched.extend(roots)
+            return _search(*args, roots=roots, visit=visit)
+
+        monkeypatch.setattr(polyprism.oracle, "_search", recording)
+        assert isinstance(next(iter_min_inscribed(PrismDims(4, 4, 4))), Polycube)
+        assert searched == [0]
 
 
 def _cube(cells):

@@ -1,7 +1,13 @@
+import io
 import json
+import re
+from collections import Counter
 
 import pytest
 
+import polyprism.verify
+from polyprism.cli import run
+from polyprism.core import FamilyTag
 from polyprism.verify import (
     TABLE1,
     TABLE2,
@@ -143,3 +149,96 @@ class TestCrosscheck:
         assert all(
             r.engine_a == "formulas" and r.engine_b == "formulas" for r in report.runs
         )
+
+
+# Checks per id prefix (the id up to its first case field) in
+# `polyprism verify --max-dim 3` and `--max-dim 4`.
+VERIFY_PREFIXES = {
+    "corner/closed-vs-recurrence": (10, 20),
+    "corner/oracle-vs-recurrence": (10, 20),
+    "corner2d/closed-vs-recurrence": (6, 10),
+    "family/diag/oracle-vs-series": (4, 10),
+    "family/p2dx2d/oracle-vs-series": (4, 10),
+    "family/sca/oracle-vs-series": (4, 10),
+    "family/scb/oracle-vs-series": (4, 10),
+    "skewcross/formula-vs-series": (1, 4),
+    "table1/diag": (9, 11),
+    "table1/p2dx2d": (9, 11),
+    "table1/sca": (9, 11),
+    "table1/scb": (9, 11),
+    "table1/total": (10, 12),
+    "table2/volume": (20, 20),
+    "thickness2/oracle-vs-formula": (3, 6),
+    "thickness2/weighted2d-vs-formula": (3, 6),
+    "thickness3/oracle-vs-formula": (3, 6),
+    "total/oracle-vs-series": (4, 10),
+    "twodim/oracle-vs-formula": (6, 10),
+    "volume/Diag/formula-vs-series": (8, 8),
+    "volume/P2Dx2D/formula-vs-series": (8, 8),
+    "volume/SC/formula-vs-series": (8, 8),
+    "volume/total/formula-vs-series": (8, 8),
+}
+
+
+@pytest.fixture
+def fresh_oracle_memos():
+    memos = (polyprism.verify._oracle_total, polyprism.verify._oracle_split)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+def _verify_prefixes(max_dim, tmp_path):
+    path = tmp_path / "report.json"
+    code = run(["verify", "--max-dim", str(max_dim), "--report", str(path)], out=io.StringIO())
+    ids = [r["check_id"] for r in json.loads(path.read_text())["runs"]]
+    return code, Counter(re.sub(r"/(\d|n=).*", "", i) for i in ids)
+
+
+class TestCheckTable:
+    def test_verify_three_runs_every_family(self, tmp_path):
+        code, prefixes = _verify_prefixes(3, tmp_path)
+        assert code == 0
+        assert prefixes == {p: n for p, (n, _) in VERIFY_PREFIXES.items()}
+        assert sum(prefixes.values()) == 160
+
+    def test_verify_four_runs_every_family(self, tmp_path, monkeypatch, fresh_oracle_memos):
+        # Stub the oracle: only the number of checks is under test here.
+        for name in ("count_min_corner", "count_min_inscribed", "count_2d_min"):
+            monkeypatch.setattr(polyprism.verify, name, lambda *args: 0)
+        monkeypatch.setattr(polyprism.verify, "weighted_2d_count", lambda b, k: 0)
+        monkeypatch.setattr(
+            polyprism.verify, "count_by_family", lambda d: dict.fromkeys(FamilyTag, 0)
+        )
+        _, prefixes = _verify_prefixes(4, tmp_path)
+        assert prefixes == {p: n for p, (_, n) in VERIFY_PREFIXES.items()}
+        assert sum(prefixes.values()) == 240
+
+    def test_each_prism_is_searched_once(self, monkeypatch, fresh_oracle_memos):
+        prisms = []
+
+        def recording(fn):
+            def wrapped(d):
+                prisms.append(d.as_tuple())
+                return fn(d)
+
+            return wrapped
+
+        for name in ("count_by_family", "count_min_inscribed"):
+            monkeypatch.setattr(polyprism.verify, name, recording(getattr(polyprism.verify, name)))
+        assert crosscheck(3).passed and reproduce_table1(6).passed
+        assert len(prisms) == len(set(prisms)) == 8
+
+    def test_closed_corner_mismatch_is_an_erratum(self, monkeypatch):
+        closed = polyprism.verify.p3d_corner_closed
+        monkeypatch.setattr(
+            polyprism.verify,
+            "p3d_corner_closed",
+            lambda b, k, h: closed(b, k, h) + ((b, k, h) == (2, 3, 3)),
+        )
+        report = crosscheck(3, engines=("formulas",))
+        assert report.exit_code() == 1
+        assert [e.note for e in report.errata] == ["closed form disagrees at (2,3,3)"]
+        assert "corner/closed-vs-recurrence/2x3x3" not in {r.check_id for r in report.runs}
