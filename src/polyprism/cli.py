@@ -99,7 +99,9 @@ def _build_parser() -> _Parser:
     table2.add_argument("--nmax", type=_int_in(1, 10), default=10)
 
     verify = sub.add_parser("verify", help="cross-check all engines")
-    verify.add_argument("--max-dim", type=_int_in(2), default=4)
+    # crosscheck expands the series on the (max(d, 8) + 2)-cube, and Diag
+    # exceeds the 127-bit count cap on 28^3
+    verify.add_argument("--max-dim", type=_int_in(2, 25), default=4)
     verify.add_argument("--report", help="write the JSON report to this file")
 
     lst = sub.add_parser("list", help="stream minimal inscribed polycubes")

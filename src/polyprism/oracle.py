@@ -8,22 +8,23 @@ such masks.
 The enumerator is a canonical-growth search (Redelmeier, "Counting
 polyominoes: yet another attack", 1981): every connected set is generated
 exactly once from its least cell, by extending a frontier of untried
-neighbours larger than the root; a tried candidate is never revisited.
+neighbours larger than the root; a tried candidate is never revisited. It
+generates only minimal inscribed shapes, whose least cell lies on the
+x = 0 face: those cells are the roots.
 
-Pruning for inscribed targets uses the face deficit, the number of unit
-steps by which the bounding box falls short of the six faces. A cell joined
-to the set lies at most one step outside its bounding box, so one addition
-lowers the deficit by at most one. The slack (cells still to add minus the
-deficit) therefore never grows; once it is zero, as it is from the root on
-for a minimal-volume target, only cells outside the current box can still
-be added and the frontier drops the others.
+Pruning uses the face deficit, the number of unit steps by which the
+bounding box falls short of the six faces. A cell joined to the set lies at
+most one step outside its bounding box, so one addition lowers the deficit
+by at most one. A root's deficit, b + k + h - 3, equals the number of cells
+a minimal shape still needs, so each addition must lower it by one: the
+frontier drops the cells inside the current box, and every shape the
+search completes is inscribed.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -38,22 +39,6 @@ from .core import (
 )
 
 Coords = tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class EnumerationConfig:
-    dims: PrismDims
-    volume: int
-    inscribed_only: bool = False
-    corner_constraint: tuple[int, int, int] | None = None  # min/max flag per axis
-
-    def __post_init__(self) -> None:
-        if self.volume < 1:
-            raise ValueError(f"volume must be >= 1, got {self.volume}")
-        if self.corner_constraint is not None and any(
-            f not in (0, 1) for f in self.corner_constraint
-        ):
-            raise ValueError(f"corner flags must be 0/1: {self.corner_constraint}")
 
 
 class _Orientation(NamedTuple):
@@ -133,22 +118,16 @@ def _search(
     b: int,
     k: int,
     h: int,
-    volume: int,
-    inscribed_only: bool,
     roots: range | list[int] | None = None,
     visit: Callable[[int], None] | None = None,
 ) -> int:
-    n_cells = b * k * h
-    if volume > n_cells:
-        return 0
-    if inscribed_only and volume < b + k + h - 2:
-        return 0
+    """Minimal inscribed shapes whose least cell is in ``roots`` (default:
+    the x = 0 face); ``visit``, if given, gets each shape's mask."""
     box = _box(b, k, h)
     nbr = box.nbr
     px, py, pz = box.plane
     if roots is None:
-        # the least cell of an inscribed shape lies on the x = 0 face
-        roots = range(k * h if inscribed_only else n_cells)
+        roots = range(k * h)
 
     def leaves(shape: int, ext: int) -> int:
         if visit is not None:
@@ -177,43 +156,16 @@ def _search(
                 count += tight(shape | low, nxt, seen | new, cx, cy, cz, rem - 1)
         return count
 
-    def grow(shape, ext, seen, bx, by, bz, slack, rem) -> int:
-        """As ``tight``, at any slack: a cell inside the box uses one."""
-        if slack == 0:
-            return tight(shape, ext, seen, bx, by, bz, rem)
-        count = 0
-        inside = bx & by & bz
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            v = low.bit_length() - 1
-            new = nbr[v] & ~seen
-            nxt = ext | new
-            cx, cy, cz = bx | px[v], by | py[v], bz | pz[v]
-            s = slack - 1 if low & inside else slack
-            if s == 0:
-                nxt &= ~(cx & cy & cz)
-            if rem == 2:
-                count += nxt.bit_count() if visit is None else leaves(shape | low, nxt)
-            else:
-                count += grow(shape | low, nxt, seen | new, cx, cy, cz, s, rem - 1)
-        return count
-
     count = 0
-    rem = volume - 1
-    full = (1 << n_cells) - 1
-    slack = volume - (b + k + h - 2)
+    rem = b + k + h - 3  # cells to add to the root
     for root in roots:
         bit = 1 << root
         below = (bit << 1) - 1
         ext = nbr[root] & ~below
         if rem < 2:
             count += leaves(bit, ext) if rem else leaves(0, bit)
-        elif inscribed_only:
-            count += grow(bit, ext, below | ext, px[root], py[root], pz[root], slack, rem)
         else:
-            # the whole box counts as covered, so the slack never reaches zero
-            count += grow(bit, ext, below | ext, full, full, full, rem, rem)
+            count += tight(bit, ext, below | ext, px[root], py[root], pz[root], rem)
     return count
 
 
@@ -235,49 +187,33 @@ def _threads() -> int:
 
 
 def _count_root_chunk(args) -> int:
-    b, k, h, volume, inscribed_only, lo, hi = args
-    return _search(b, k, h, volume, inscribed_only, roots=range(lo, hi))
-
-
-def count_connected(cfg: EnumerationConfig) -> int:
-    """Exact number of connected cell sets matching the configuration."""
-    b, k, h = cfg.dims.as_tuple()
-    if cfg.corner_constraint is not None:
-        # Reflect the chosen corner onto (0,0,0); counts are reflection
-        # invariant and index 0 is then the minimal cell of any set holding
-        # it, so restricting the root to 0 enumerates exactly those sets.
-        return checked_count(
-            _search(b, k, h, cfg.volume, cfg.inscribed_only, roots=[0])
-        )
-    workers = _threads()
-    n_roots = k * h if cfg.inscribed_only else b * k * h
-    if workers > 1 and n_roots > 8:
-        chunks = []
-        step = max(1, n_roots // (4 * workers))
-        for lo in range(0, n_roots, step):
-            chunks.append((b, k, h, cfg.volume, cfg.inscribed_only, lo, min(lo + step, n_roots)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return checked_count(sum(pool.map(_count_root_chunk, chunks)))
-    return checked_count(_search(b, k, h, cfg.volume, cfg.inscribed_only))
+    b, k, h, lo, hi = args
+    return _search(b, k, h, roots=range(lo, hi))
 
 
 def count_min_inscribed(d: PrismDims) -> int:
-    """Minimal-volume inscribed polycubes in the prism, by brute force."""
-    return count_connected(
-        EnumerationConfig(dims=d, volume=min_volume(d), inscribed_only=True)
-    )
+    """Minimal-volume inscribed polycubes in the prism, by brute force;
+    ``POLYCUBE_THREADS`` worker processes search chunks of the roots."""
+    b, k, h = d.as_tuple()
+    workers = _threads()
+    n_roots = k * h
+    if workers > 1 and n_roots > 8:
+        step = max(1, n_roots // (4 * workers))
+        chunks = [(b, k, h, lo, min(lo + step, n_roots)) for lo in range(0, n_roots, step)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return checked_count(sum(pool.map(_count_root_chunk, chunks)))
+    return checked_count(_search(b, k, h))
 
 
-def count_min_corner(d: PrismDims, corner: tuple[int, int, int] = (0, 0, 0)) -> int:
-    """Minimal inscribed polycubes containing the given corner of the box."""
-    return count_connected(
-        EnumerationConfig(
-            dims=d,
-            volume=min_volume(d),
-            inscribed_only=True,
-            corner_constraint=corner,
-        )
-    )
+def count_min_corner(d: PrismDims) -> int:
+    """Minimal inscribed polycubes containing a corner of the box.
+
+    The count is the same for all eight corners, since a reflection of the
+    box maps the shapes through one corner onto those through another. The
+    search counts corner (0, 0, 0): it is cell 0, the least cell of any
+    shape holding it, so the shapes rooted at cell 0 are exactly those.
+    """
+    return checked_count(_search(*d.as_tuple(), roots=[0]))
 
 
 def count_2d_min(b: int, k: int) -> int:
@@ -300,7 +236,7 @@ def weighted_2d_count(b: int, k: int) -> int:
         for c in _bits(shape):
             total += 1 << (nbr[c] & shape).bit_count()
 
-    _search(b, k, 1, min_volume(PrismDims(b, k, 1)), True, visit=visit)
+    _search(b, k, 1, visit=visit)
     return checked_count(total)
 
 
@@ -444,7 +380,7 @@ def count_by_family(d: PrismDims) -> dict[FamilyTag, int]:
     def visit(shape: int) -> None:
         counts[_family(shape, box)] += 1
 
-    _search(d.b, d.k, d.h, min_volume(d), True, visit=visit)
+    _search(d.b, d.k, d.h, visit=visit)
     for tag in counts:
         counts[tag] = checked_count(counts[tag])
     return counts
@@ -460,6 +396,6 @@ def iter_min_inscribed(d: PrismDims) -> Iterator[Polycube]:
     coords = _box(b, k, h).coords
     for root in range(k * h):  # the roots of an inscribed search: the x = 0 face
         found: list[int] = []
-        _search(b, k, h, min_volume(d), True, roots=[root], visit=found.append)
+        _search(b, k, h, roots=[root], visit=found.append)
         for shape in found:
             yield Polycube(d, [Cell(*coords[c]) for c in _bits(shape)])

@@ -531,15 +531,6 @@ def volume_sequence(s: TruncatedSeries, n_max: int) -> list[int]:
     return out
 
 
-def diagonal_sequence(s: TruncatedSeries, n_max: int) -> list[int]:
-    """Entries coeff(n, n, n) for n = 1..n_max."""
-    if any(bound < n_max for bound in s.bounds):
-        raise InsufficientBoundsError(
-            f"bounds {s.bounds} too small for diagonal index {n_max}"
-        )
-    return [s.coeff(n, n, n) for n in range(1, n_max + 1)]
-
-
 def to_csv(s: TruncatedSeries) -> str:
     """One row per nonzero coefficient: header 'b,k,h,coefficient'."""
     lines = ["b,k,h,coefficient"]

@@ -161,6 +161,7 @@ class TestUsage:
             ["table1", "--nmax", "9"],
             ["table2", "--nmax", "0"],
             ["verify", "--max-dim", "1"],
+            ["verify", "--max-dim", "26"],
         ],
     )
     def test_out_of_range_input_is_usage_error(self, argv, capsys):

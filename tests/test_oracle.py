@@ -6,13 +6,11 @@ import polyprism.oracle
 from polyprism.core import Cell, FamilyTag, Polycube, PrismDims, is_inscribed, min_volume
 from polyprism.formulas import p2d_min, p3d_corner_rec, p3dmin_thickness2
 from polyprism.oracle import (
-    EnumerationConfig,
     _search,
     _threads,
     classify,
     count_2d_min,
     count_by_family,
-    count_connected,
     count_min_corner,
     count_min_inscribed,
     iter_min_inscribed,
@@ -20,35 +18,10 @@ from polyprism.oracle import (
 )
 
 
-class TestEnumerationConfig:
-    def test_rejects_bad_volume(self):
-        with pytest.raises(ValueError):
-            EnumerationConfig(dims=PrismDims(2, 2, 2), volume=0)
-
-    def test_rejects_bad_corner_flags(self):
-        with pytest.raises(ValueError):
-            EnumerationConfig(
-                dims=PrismDims(2, 2, 2), volume=4, corner_constraint=(0, 2, 0)
-            )
-
-
-class TestCountConnected:
-    def test_all_dominoes_in_a_cube(self):
-        cfg = EnumerationConfig(dims=PrismDims(2, 2, 2), volume=2)
-        assert count_connected(cfg) == 12  # edges of the 2x2x2 cell graph
-
-    def test_volume_above_box_is_zero(self):
-        cfg = EnumerationConfig(dims=PrismDims(2, 2, 1), volume=5)
-        assert count_connected(cfg) == 0
-
-    def test_inscribed_below_min_volume_is_zero(self):
-        cfg = EnumerationConfig(dims=PrismDims(3, 3, 3), volume=6, inscribed_only=True)
-        assert count_connected(cfg) == 0
-
-
-def _naive_shapes(b, k, h, volume, inscribed_only):
-    """Masks of every connected ``volume``-cell set, by testing all subsets."""
+def _naive_shapes(b, k, h):
+    """Masks of every minimal inscribed shape, by testing all subsets."""
     coords = [(x, y, z) for x in range(b) for y in range(k) for z in range(h)]
+    volume = b + k + h - 2
     found = set()
     for cells in itertools.combinations(coords, volume):
         cellset = set(cells)
@@ -62,7 +35,7 @@ def _naive_shapes(b, k, h, volume, inscribed_only):
                     todo.append(n)
         if len(reached) < volume:
             continue
-        if inscribed_only and not all(
+        if not all(
             {0, extent - 1} <= {c[a] for c in cells}
             for a, extent in enumerate((b, k, h))
         ):
@@ -72,19 +45,17 @@ def _naive_shapes(b, k, h, volume, inscribed_only):
 
 
 class TestSearchPaths:
-    """Minimal and slack configurations; with slack, cells inside the
-    bounding box may be added."""
+    """The search against all subsets. Prisms with b + k + h < 5 add fewer
+    than two cells to the root and take the leaf path; the rest, side-1
+    prisms included, go through the pruned frontier."""
 
-    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 3)])
     @pytest.mark.parametrize(
-        "extra,inscribed_only",
-        [(0, True), (1, True), (2, True), (-4, False), (-3, False), (-2, False), (0, False)],
+        "dims", [(2, 2, 3), (2, 3, 3), (1, 1, 1), (1, 1, 2), (1, 3, 4), (2, 2, 4), (2, 2, 5)]
     )
-    def test_matches_naive_subsets(self, dims, extra, inscribed_only):
-        volume = sum(dims) - 2 + extra
+    def test_matches_naive_subsets(self, dims):
         seen = []
-        count = _search(*dims, volume, inscribed_only, visit=seen.append)
-        expected = _naive_shapes(*dims, volume, inscribed_only)
+        count = _search(*dims, visit=seen.append)
+        expected = _naive_shapes(*dims)
         assert count == len(seen) == len(expected) > 0
         assert set(seen) == expected
 
@@ -119,16 +90,6 @@ class TestCornerCounts:
                 for h in range(1, 5):
                     assert count_min_corner(PrismDims(b, k, h)) == p3d_corner_rec(b, k, h)
 
-    def test_any_corner_gives_the_same_count(self):
-        d = PrismDims(2, 3, 4)
-        counts = {
-            count_min_corner(d, corner=(fx, fy, fz))
-            for fx in (0, 1)
-            for fy in (0, 1)
-            for fz in (0, 1)
-        }
-        assert counts == {p3d_corner_rec(2, 3, 4)}
-
 
 class TestWeighted2D:
     def test_degenerate_single_cell(self):
@@ -153,7 +114,7 @@ class TestIteration:
     def test_streams_in_search_order(self):
         d = PrismDims(2, 3, 4)
         masks = []
-        _search(2, 3, 4, min_volume(d), True, visit=masks.append)
+        _search(2, 3, 4, visit=masks.append)
         k, h = d.k, d.h
         streamed = [
             sum(1 << ((c.x * k + c.y) * h + c.z) for c in p) for p in iter_min_inscribed(d)

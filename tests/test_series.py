@@ -11,7 +11,6 @@ from polyprism.series import (
     TruncatedSeries,
     UnknownSeriesError,
     catalog_names,
-    diagonal_sequence,
     expand,
     family_min,
     to_csv,
@@ -188,10 +187,6 @@ class TestTotals:
         assert seq[4] == 3  # three domino orientations
         with pytest.raises(InsufficientBoundsError):
             volume_sequence(stair, 9)
-
-    def test_diagonal_sequence(self):
-        diag = expand("Diag", (4, 4, 4))
-        assert diagonal_sequence(diag, 4) == [-2, 32, 2271, 79936]
 
 
 class TestCsvExport:

@@ -7,7 +7,7 @@ import pytest
 
 import polyprism.verify
 from polyprism.cli import run
-from polyprism.core import FamilyTag
+from polyprism.core import FamilyTag, PrismDims
 from polyprism.verify import (
     TABLE1,
     TABLE2,
@@ -230,6 +230,30 @@ class TestCheckTable:
             monkeypatch.setattr(polyprism.verify, name, recording(getattr(polyprism.verify, name)))
         assert crosscheck(3).passed and reproduce_table1(6).passed
         assert len(prisms) == len(set(prisms)) == 8
+
+    def test_oracle_sides_are_capped(self, monkeypatch, fresh_oracle_memos):
+        highest = {}
+
+        def recording(name):
+            def stub(*args):
+                sides = args[0].as_tuple() if isinstance(args[0], PrismDims) else args
+                key = (name, sides[0]) if name == "count_min_inscribed" else name
+                highest[key] = max(highest.get(key, 0), *sides)
+                return 0
+
+            return stub
+
+        for name in ("count_min_corner", "count_min_inscribed", "count_2d_min",
+                     "weighted_2d_count"):
+            monkeypatch.setattr(polyprism.verify, name, recording(name))
+        crosscheck(9, engines=("oracle", "formulas"))
+        assert highest == {
+            "count_min_corner": 4,
+            ("count_min_inscribed", 2): 7,  # thickness 2
+            ("count_min_inscribed", 3): 5,  # thickness 3
+            "count_2d_min": 7,
+            "weighted_2d_count": 7,
+        }
 
     def test_closed_corner_mismatch_is_an_erratum(self, monkeypatch):
         closed = polyprism.verify.p3d_corner_closed
