@@ -19,7 +19,6 @@ from .core import CountOverflowError, FamilyTag, PrismDims, format_polycube
 from .formulas import p2d_min, p3dmin_thickness2, p3dmin_thickness3
 from .oracle import (
     ThreadsSettingError,
-    classify,
     count_by_family,
     count_min_inscribed,
     iter_min_inscribed,
@@ -187,9 +186,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
 def _cmd_list(args: argparse.Namespace, out) -> int:
     wanted = FamilyTag(args.family) if args.family else None
     first = True
-    for p in iter_min_inscribed(PrismDims(args.b, args.k, args.h)):
-        if wanted is not None and classify(p) is not wanted:
-            continue
+    for p in iter_min_inscribed(PrismDims(args.b, args.k, args.h), wanted):
         if not first:
             print(file=out)
         print(format_polycube(p), file=out)

@@ -7,6 +7,7 @@ with b along x, k along y and h along z.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -66,11 +67,11 @@ _FACE_STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -
 class Polycube:
     """A non-empty, 6-connected set of unit cells inside a prism.
 
-    Cells are deduplicated and stored sorted by (x, y, z); instances are
-    immutable and hashable.
+    Cells are deduplicated and stored sorted by (x, y, z), with no mask over
+    the prism; instances are immutable and hashable.
     """
 
-    __slots__ = ("dims", "cells", "_cellset")
+    __slots__ = ("dims", "cells")
 
     def __init__(self, dims: PrismDims, cells: Iterable[Cell]):
         cellset = frozenset(cells)
@@ -81,9 +82,17 @@ class Polycube:
                 raise ValueError(f"cell {c} outside prism {dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "cells", tuple(sorted(cellset)))
-        object.__setattr__(self, "_cellset", cellset)
         if not self._connected():
             raise ValueError("polycube cells are not 6-connected")
+
+    @classmethod
+    def _trusted(cls, dims: PrismDims, cells: tuple[Cell, ...]) -> "Polycube":
+        """A polycube from ``cells`` that the caller has checked: non-empty,
+        sorted, without duplicates, inside ``dims`` and 6-connected."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dims", dims)
+        object.__setattr__(p, "cells", cells)
+        return p
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Polycube is immutable")
@@ -103,7 +112,10 @@ class Polycube:
         return len(seen) == len(coords)
 
     def __contains__(self, c: Cell) -> bool:
-        return c in self._cellset
+        if not isinstance(c, Cell):
+            return False
+        i = bisect_left(self.cells, c)
+        return i < len(self.cells) and self.cells[i] == c
 
     def __len__(self) -> int:
         return len(self.cells)

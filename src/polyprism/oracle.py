@@ -38,8 +38,6 @@ from .core import (
     min_volume,
 )
 
-Coords = tuple[int, int, int]
-
 
 class _Orientation(NamedTuple):
     """One of the four space diagonals, seen from its near corner."""
@@ -51,9 +49,9 @@ class _Orientation(NamedTuple):
 
 
 class _Box(NamedTuple):
-    """Per-cell masks of one prism, indexed by cell index."""
+    """Per-cell tables of one prism, indexed by cell index."""
 
-    coords: list[Coords]
+    cells: tuple[Cell, ...]  # shared by every Polycube built from a mask
     nbr: list[int]  # face neighbours
     plane: tuple[list[int], list[int], list[int]]  # per axis: plane through the cell
     steps: tuple[int, ...]  # h, k*h and the targets of the +y, -y, +z, -z shifts
@@ -96,7 +94,7 @@ def _box(b: int, k: int, h: int) -> _Box:
             )
     full = (1 << len(coords)) - 1
     return _Box(
-        coords=coords,
+        cells=tuple(Cell(*c) for c in coords),
         nbr=nbr,
         plane=tuple([p[c[a]] for c in coords] for a, p in enumerate(planes)),
         steps=(h, k * h, full ^ py[0], full ^ py[fy], full ^ pz[0], full ^ pz[fz]),
@@ -386,16 +384,28 @@ def count_by_family(d: PrismDims) -> dict[FamilyTag, int]:
     return counts
 
 
-def iter_min_inscribed(d: PrismDims) -> Iterator[Polycube]:
-    """Yield every minimal inscribed polycube of the prism exactly once.
+def _polycube(d: PrismDims, shape: int, box: _Box) -> Polycube:
+    """The mask ``shape`` of the prism ``d`` as a ``Polycube``, if connected."""
+    if _flood(shape & -shape, shape, box) != shape:
+        raise ValueError("polycube cells are not 6-connected")
+    return Polycube._trusted(d, tuple(box.cells[i] for i in _bits(shape)))
+
+
+def iter_min_inscribed(d: PrismDims, family: FamilyTag | None = None) -> Iterator[Polycube]:
+    """Yield every minimal inscribed polycube of the prism exactly once; with
+    ``family``, only those of that family.
 
     The search runs one root at a time, in the order of a whole search, and
-    only that root's masks are held while its shapes are yielded.
+    only that root's masks are held while its shapes are yielded. The family
+    is read from the mask, and only the shapes yielded are built, from the
+    prism's table of cells in bit order: that is lexicographic cell order,
+    so their cells are sorted already.
     """
     b, k, h = d.as_tuple()
-    coords = _box(b, k, h).coords
+    box = _box(b, k, h)
     for root in range(k * h):  # the roots of an inscribed search: the x = 0 face
         found: list[int] = []
         _search(b, k, h, roots=[root], visit=found.append)
         for shape in found:
-            yield Polycube(d, [Cell(*coords[c]) for c in _bits(shape)])
+            if family is None or _family(shape, box) is family:
+                yield _polycube(d, shape, box)

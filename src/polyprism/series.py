@@ -100,7 +100,7 @@ class TruncatedSeries:
         return (
             isinstance(other, TruncatedSeries)
             and self.bounds == other.bounds
-            and self._c == other._c
+            and tuple(self._c) == tuple(other._c)
         )
 
     def __repr__(self) -> str:
@@ -488,6 +488,7 @@ def expand(name: str, bounds: Bounds) -> TruncatedSeries:
     s = builder(bounds)
     for v in s._c:
         checked_count(v)
+    s._c = tuple(s._c)  # every caller gets this grid: it must not change
     return s
 
 

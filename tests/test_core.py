@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from polyprism.core import (
@@ -91,6 +93,18 @@ class TestPolycube:
         p = Polycube(PrismDims(2, 1, 1), [Cell(0, 0, 0), Cell(1, 0, 0)])
         assert Cell(1, 0, 0) in p
         assert Cell(1, 0, 0) in list(p)
+        assert Cell(2, 0, 0) not in p and (1, 0, 0) not in p
+
+    def test_size_of_the_prism_costs_nothing(self):
+        # the cells are stored, not a mask over the 10**18 cells of the prism
+        side = 10**6
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            p = Polycube(PrismDims(side, side, side), [Cell(side - 1, side - 1, side - 1)])
+            best = min(best, time.perf_counter() - t0)
+        assert Cell(side - 1, side - 1, side - 1) in p
+        assert best < 0.01
 
 
 def _rod(n):

@@ -6,6 +6,8 @@ import polyprism.oracle
 from polyprism.core import Cell, FamilyTag, Polycube, PrismDims, is_inscribed, min_volume
 from polyprism.formulas import p2d_min, p3d_corner_rec, p3dmin_thickness2
 from polyprism.oracle import (
+    _box,
+    _polycube,
     _search,
     _threads,
     classify,
@@ -131,6 +133,33 @@ class TestIteration:
         monkeypatch.setattr(polyprism.oracle, "_search", recording)
         assert isinstance(next(iter_min_inscribed(PrismDims(4, 4, 4))), Polycube)
         assert searched == [0]
+
+    @pytest.mark.parametrize(
+        "dims",
+        [*itertools.combinations_with_replacement(range(1, 4), 3), (2, 3, 4)],
+    )
+    def test_family_filter_matches_classify_after_building(self, dims):
+        # the reference builds every shape through the public constructor,
+        # then filters with classify
+        b, k, h = dims
+        d = PrismDims(b, k, h)
+        masks = []
+        _search(b, k, h, visit=masks.append)
+        cells = [Cell(x, y, z) for x in range(b) for y in range(k) for z in range(h)]
+        built = [Polycube(d, [c for i, c in enumerate(cells) if m >> i & 1]) for m in masks]
+        assert list(iter_min_inscribed(d)) == built
+        streams = {tag: list(iter_min_inscribed(d, tag)) for tag in FamilyTag}
+        for tag, stream in streams.items():
+            assert stream == [p for p in built if classify(p) is tag]
+        assert sum(map(len, streams.values())) == len(built)
+        assert set().union(*streams.values()) == set(built)
+
+    def test_mask_path_rejects_a_disconnected_mask(self):
+        assert _polycube(PrismDims(3, 1, 1), 0b111, _box(3, 1, 1)).cells == tuple(
+            Cell(x, 0, 0) for x in range(3)
+        )
+        with pytest.raises(ValueError):
+            _polycube(PrismDims(3, 1, 1), 0b101, _box(3, 1, 1))
 
 
 def _cube(cells):

@@ -180,6 +180,13 @@ class TestTotals:
         with pytest.raises(ValueError):
             family_min("Diag", 2, 0, 2)
 
+    def test_cached_grid_cannot_be_changed(self):
+        grid = expand("SC", B3)
+        with pytest.raises(TypeError):
+            grid._c[-1] += 935
+        assert total_min(3, 3, 3) == 2401
+        assert grid == grid.copy() and grid.copy() == grid  # tuple and list grids
+
     def test_volume_sequence(self):
         stair = expand("Stair", (4, 4, 4))
         seq = volume_sequence(stair, 4)
