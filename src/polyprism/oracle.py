@@ -2,15 +2,16 @@
 
 A shape is one ``int`` bitmask over the cells of the box: cell (x, y, z) of
 a b x k x h prism is bit ``(x*k + y)*h + z``, so bit order is lexicographic
-cell order. The search, the classifier and the per-cell tables all work on
-such masks.
+cell order, and the central inversion maps bit i to bit n-1-i. The search,
+the classifier and the per-cell tables all work on such masks.
 
 The enumerator is a canonical-growth search (Redelmeier, "Counting
 polyominoes: yet another attack", 1981): every connected set is generated
 exactly once from its least cell, by extending a frontier of untried
 neighbours larger than the root; a tried candidate is never revisited. It
 generates only minimal inscribed shapes, whose least cell lies on the
-x = 0 face: those cells are the roots.
+x = 0 face: those cells are the roots. The counters put the longest side
+along x, which makes the root face the smallest.
 
 Pruning uses the face deficit, the number of unit steps by which the
 bounding box falls short of the six faces. A cell joined to the set lies at
@@ -24,6 +25,7 @@ search completes is inscribed.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
@@ -189,18 +191,23 @@ def _count_root_chunk(args) -> int:
     return _search(b, k, h, roots=range(lo, hi))
 
 
-def count_min_inscribed(d: PrismDims) -> int:
-    """Minimal-volume inscribed polycubes in the prism, by brute force;
-    ``POLYCUBE_THREADS`` worker processes search chunks of the roots."""
-    b, k, h = d.as_tuple()
-    workers = _threads()
-    n_roots = k * h
+def _over_roots(work: Callable[[tuple], object], d: PrismDims) -> list:
+    """``work`` on chunks ``(b, k, h, lo, hi)`` of the roots of ``d`` with its
+    sides in descending order, in ``POLYCUBE_THREADS`` worker processes."""
+    b, k, h = sorted(d.as_tuple(), reverse=True)
+    workers, n_roots = _threads(), k * h
     if workers > 1 and n_roots > 8:
         step = max(1, n_roots // (4 * workers))
         chunks = [(b, k, h, lo, min(lo + step, n_roots)) for lo in range(0, n_roots, step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return checked_count(sum(pool.map(_count_root_chunk, chunks)))
-    return checked_count(_search(b, k, h))
+            return list(pool.map(work, chunks))
+    return [work((b, k, h, 0, n_roots))]
+
+
+def count_min_inscribed(d: PrismDims) -> int:
+    """Minimal-volume inscribed polycubes in the prism, by brute force, longest
+    side first; ``POLYCUBE_THREADS`` worker processes search chunks of the roots."""
+    return checked_count(sum(_over_roots(_count_root_chunk, d)))
 
 
 def count_min_corner(d: PrismDims) -> int:
@@ -226,6 +233,7 @@ def weighted_2d_count(b: int, k: int) -> int:
     bijection; the 1 x 1 degenerate case yields 1 (single cell, degree 0),
     consistent with the unique minimal polycube of the 2 x 1 x 1 prism.
     """
+    b, k = sorted((b, k), reverse=True)  # longest side first: transposing keeps degrees
     nbr = _box(b, k, 1).nbr
     total = 0
 
@@ -370,18 +378,28 @@ def classify(p: Polycube) -> FamilyTag:
     return _family(shape, _box(b, k, h))
 
 
-def count_by_family(d: PrismDims) -> dict[FamilyTag, int]:
-    """Enumerate the minimal inscribed polycubes of ``d`` and tally families."""
-    counts = {tag: 0 for tag in FamilyTag}
-    box = _box(d.b, d.k, d.h)
+def _family_root_chunk(args) -> Counter:
+    """Family tally of one chunk's shapes, classifying one mask per inversion pair."""
+    b, k, h, lo, hi = args
+    box = _box(b, k, h)
+    counts: Counter = Counter()
+    reversed_bits = f"0{b * k * h}b"
 
     def visit(shape: int) -> None:
-        counts[_family(shape, box)] += 1
+        image = int(format(shape, reversed_bits)[::-1], 2)
+        if image >= shape:
+            counts[_family(shape, box)] += 1 + (image != shape)
 
-    _search(d.b, d.k, d.h, visit=visit)
-    for tag in counts:
-        counts[tag] = checked_count(counts[tag])
+    _search(b, k, h, roots=range(lo, hi), visit=visit)
     return counts
+
+
+def count_by_family(d: PrismDims) -> dict[FamilyTag, int]:
+    """Family tally of the minimal inscribed polycubes of ``d``, over the root
+    chunks of ``count_min_inscribed``. The central inversion keeps the tags,
+    which are geometric, so one mask of each pair is classified."""
+    counts = sum(_over_roots(_family_root_chunk, d), Counter())
+    return {tag: checked_count(counts[tag]) for tag in FamilyTag}
 
 
 def _polycube(d: PrismDims, shape: int, box: _Box) -> Polycube:

@@ -207,20 +207,27 @@ def _oracle_total(b: int, k: int, h: int) -> int:
     return count_min_inscribed(PrismDims(b, k, h))
 
 
+@lru_cache(maxsize=1)
+def _split_prisms() -> set[tuple[int, int, int]]:
+    """The prisms whose split ``_oracle_split`` has computed."""
+    return set()
+
+
 @lru_cache(maxsize=128)
 def _oracle_split(b: int, k: int, h: int) -> tuple[int, ...]:
     """The oracle's family counts, in ``_FAMILIES`` order."""
     counts = count_by_family(PrismDims(b, k, h))
+    _split_prisms().add((b, k, h))
     return tuple(counts[tag] for tag, _ in _FAMILIES.values())
 
 
-def _oracle_count(row: str, classified: set[tuple[int, ...]], b: int, k: int, h: int) -> int:
-    """The oracle's count of one Table 1 row. A prism in ``classified``,
-    whose family split the run computes anyway, takes its total from the
-    split: the four family counts add up to the shapes searched."""
+def _oracle_count(row: str, b: int, k: int, h: int) -> int:
+    """The oracle's count of one Table 1 row. A prism classified already takes
+    its total from the split: the four family counts add up to the shapes
+    searched. So a run checks family rows before totals."""
     if row != "total":
         return _oracle_split(b, k, h)[list(_FAMILIES).index(row)]
-    if (b, k, h) in classified:
+    if (b, k, h) in _split_prisms():
         return sum(_oracle_split(b, k, h))
     return _oracle_total(b, k, h)
 
@@ -260,7 +267,6 @@ def reproduce_table1(nmax: int = 8) -> VerificationReport:
         raise ValueError(f"nmax must be in 1..8, got {nmax}")
     bounds = (nmax, nmax, nmax)
     cubes = [(n, n, n) for n in range(1, nmax + 1)]
-    classified = set(cubes[:3])
     return _run(
         _Family(f"table1/{row}/n={{0}}/{engine}", (engine, "table1"), cases, _BKH,
                 count, partial(_table1_value, row))
@@ -268,7 +274,7 @@ def reproduce_table1(nmax: int = 8) -> VerificationReport:
         for engine, cases, count in (
             ("series", cubes, partial(_series_count, row, bounds)),
             ("oracle", cubes[: 4 if row == "total" else 3],
-             partial(_oracle_count, row, classified)),
+             partial(_oracle_count, row)),
         )
     ).finalize()
 
@@ -319,13 +325,18 @@ def crosscheck(
     slab_dim = min(max_dim, 7)
     bounds = (max_dim, max_dim, max_dim)
     split = _triples(2, oracle_dim)  # the prisms whose family split is checked
-    total = partial(_oracle_count, "total", set(split) if "series" in engines else set())
+    total = partial(_oracle_count, "total")
     n_vol = max(max_dim, 8)
     m_top = n_vol + 2  # volume n lives at total exponent degree n + 2
     vbounds = (m_top, m_top, m_top)
     volumes = [(n,) for n in range(1, n_vol + 1)]
     o_f, o_s, f_s = ("oracle", "formulas"), ("oracle", "series"), ("formulas", "series")
     checks = [
+        *(  # first: the totals checked below read a classified prism's split
+            _Family(f"family/{row}/oracle-vs-series/{{0}}x{{1}}x{{2}}", o_s, split, _BKH,
+                    partial(_oracle_count, row), partial(_series_count, row, bounds))
+            for row in _FAMILIES
+        ),
         _Family("corner/oracle-vs-recurrence/{0}x{1}x{2}", o_f, _triples(1, oracle_dim),
                 _BKH, lambda *p: count_min_corner(PrismDims(*p)), p3d_corner_rec),
         _Family("thickness2/oracle-vs-formula/{0}x{1}", o_f, _pairs(2, slab_dim),
@@ -338,11 +349,6 @@ def crosscheck(
                 "({0},{1},1)", count_2d_min, p2d_min),
         _Family("total/oracle-vs-series/{0}x{1}x{2}", o_s, split,
                 _BKH, total, partial(_series_count, "total", bounds)),
-        *(
-            _Family(f"family/{row}/oracle-vs-series/{{0}}x{{1}}x{{2}}", o_s, split, _BKH,
-                    partial(_oracle_count, row, set()), partial(_series_count, row, bounds))
-            for row in _FAMILIES
-        ),
         _Family("skewcross/formula-vs-series/{0}x{1}x{2}", f_s, _triples(3, max_dim),
                 _BKH, sc_prism, lambda *p: expand("SC", bounds).coeff(*p)),
         *(

@@ -1,4 +1,5 @@
 import itertools
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -7,6 +8,7 @@ from polyprism.core import Cell, FamilyTag, Polycube, PrismDims, is_inscribed, m
 from polyprism.formulas import p2d_min, p3d_corner_rec, p3dmin_thickness2
 from polyprism.oracle import (
     _box,
+    _family,
     _polycube,
     _search,
     _threads,
@@ -251,8 +253,132 @@ class TestThreads:
         assert count_min_inscribed(PrismDims(3, 3, 3)) == serial
 
     def test_parallel_chunks_split_the_root_slab(self, monkeypatch):
-        # 12 roots on the x = 0 face of a non-cubic prism, in chunks of 1
+        # searched as 4 x 4 x 3: 12 roots on the x = 0 face, in chunks of 1
         monkeypatch.delenv("POLYCUBE_THREADS", raising=False)
-        serial = count_min_inscribed(PrismDims(2, 3, 4))
+        serial = count_min_inscribed(PrismDims(3, 4, 4))
+        chunks = _record_dispatch(monkeypatch)
         monkeypatch.setenv("POLYCUBE_THREADS", "2")
-        assert count_min_inscribed(PrismDims(2, 3, 4)) == serial == 1076
+        assert count_min_inscribed(PrismDims(3, 4, 4)) == serial == 23720
+        assert chunks == [(4, 4, 3, lo, lo + 1) for lo in range(12)]
+
+    def test_parallel_family_split_matches_serial(self, monkeypatch):
+        # 9 roots on the searched face of 3 x 3 x 3, in chunks of 1
+        monkeypatch.delenv("POLYCUBE_THREADS", raising=False)
+        serial = count_by_family(PrismDims(3, 3, 3))
+        chunks = _record_dispatch(monkeypatch)
+        monkeypatch.setenv("POLYCUBE_THREADS", "2")
+        assert count_by_family(PrismDims(3, 3, 3)) == serial
+        assert chunks == [(3, 3, 3, lo, lo + 1) for lo in range(9)]
+
+
+def _record_dispatch(monkeypatch) -> list:
+    """Record the chunks the oracle hands to its worker processes."""
+    chunks = []
+
+    class Recording(ProcessPoolExecutor):
+        def map(self, fn, jobs, **kwargs):
+            jobs = list(jobs)
+            chunks.extend(jobs)
+            return super().map(fn, jobs, **kwargs)
+
+    monkeypatch.setattr(polyprism.oracle, "ProcessPoolExecutor", Recording)
+    return chunks
+
+
+def _image(shape: int, n: int) -> int:
+    """The mask of the shape's image under the central inversion of an n-cell box."""
+    return int(format(shape, f"0{n}b")[::-1], 2)
+
+
+def _tally(b, k, h):
+    """Family counts of the prism, one classification per shape, searched in
+    the caller's axis order."""
+    box = _box(b, k, h)
+    counts = dict.fromkeys(FamilyTag, 0)
+
+    def visit(shape):
+        counts[_family(shape, box)] += 1
+
+    _search(b, k, h, visit=visit)
+    return counts
+
+
+class TestSymmetry:
+    """The counters search longest side first and classify one shape per
+    inversion pair; neither may change a count."""
+
+    @pytest.mark.parametrize("sides", list(itertools.combinations_with_replacement(range(1, 5), 3)))
+    def test_every_ordering_counts_alike(self, sides):
+        totals, splits = set(), []
+        for dims in sorted(set(itertools.permutations(sides))):
+            d = PrismDims(*dims)
+            total = count_min_inscribed(d)
+            assert total == _search(*dims)  # searched in the caller's order
+            split = count_by_family(d)
+            assert sum(split.values()) == total
+            totals.add(total)
+            splits.append(split)
+        assert len(totals) == 1
+        assert all(split == splits[0] for split in splits)
+        if max(sides) <= 3 or sides == (2, 3, 4):
+            # every shape classified, in every ordering
+            assert all(_tally(*dims) == splits[0] for dims in itertools.permutations(sides))
+
+    def test_weighted_2d_is_symmetric(self):
+        for b in range(1, 7):
+            for k in range(1, 7):
+                assert weighted_2d_count(b, k) == weighted_2d_count(k, b)
+
+    def test_counters_search_longest_side_first(self, monkeypatch):
+        searched = []
+
+        def recording(b, k, h, roots=None, visit=None):
+            searched.append((b, k, h))
+            return _search(b, k, h, roots=roots, visit=visit)
+
+        monkeypatch.setattr(polyprism.oracle, "_search", recording)
+        monkeypatch.delenv("POLYCUBE_THREADS", raising=False)
+        count_min_inscribed(PrismDims(2, 3, 4))
+        count_2d_min(2, 5)
+        count_by_family(PrismDims(3, 2, 4))
+        weighted_2d_count(3, 4)
+        assert searched == [(4, 3, 2), (5, 2, 1), (4, 3, 2), (4, 3, 1)]
+        searched.clear()
+        next(iter_min_inscribed(PrismDims(2, 3, 4)))
+        assert searched == [(2, 3, 4)]  # the caller's coordinates
+
+    @pytest.mark.parametrize(
+        "dims",
+        [*itertools.product(range(1, 4), repeat=3), (2, 3, 4), (2, 4, 4), (3, 3, 4)],
+    )
+    def test_inversion_keeps_family_tags(self, dims):
+        box, n = _box(*dims), len(_box(*dims).cells)
+        masks = []
+        _search(*dims, visit=masks.append)
+        assert set(masks) == {_image(m, n) for m in masks}
+        assert all(_family(m, box) is _family(_image(m, n), box) for m in masks)
+
+    @pytest.mark.parametrize(
+        "masks,expected",
+        [
+            ([0b111], 1),  # the rod is its own image
+            ([0b011, 0b110], 2),  # one pair, met in either order
+            ([0b110, 0b011], 2),
+        ],
+    )
+    def test_each_pair_counts_twice_and_a_self_image_once(self, monkeypatch, masks, expected):
+        def stub(b, k, h, roots=None, visit=None):
+            for m in masks:
+                visit(m)
+            return len(masks)
+
+        monkeypatch.setattr(polyprism.oracle, "_search", stub)
+        monkeypatch.delenv("POLYCUBE_THREADS", raising=False)
+        assert sum(count_by_family(PrismDims(3, 1, 1)).values()) == expected
+
+    def test_self_images_among_real_shapes_count_once(self):
+        # 49 of the 2401 shapes of 3 x 3 x 3 are their own image
+        masks = []
+        _search(3, 3, 3, visit=masks.append)
+        assert sum(m == _image(m, 27) for m in masks) == 49
+        assert sum(count_by_family(PrismDims(3, 3, 3)).values()) == len(masks) == 2401

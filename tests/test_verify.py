@@ -182,7 +182,11 @@ VERIFY_PREFIXES = {
 
 @pytest.fixture
 def fresh_oracle_memos():
-    memos = (polyprism.verify._oracle_total, polyprism.verify._oracle_split)
+    memos = (
+        polyprism.verify._oracle_total,
+        polyprism.verify._oracle_split,
+        polyprism.verify._split_prisms,
+    )
     for memo in memos:
         memo.cache_clear()
     yield
@@ -230,6 +234,35 @@ class TestCheckTable:
             monkeypatch.setattr(polyprism.verify, name, recording(getattr(polyprism.verify, name)))
         assert crosscheck(3).passed and reproduce_table1(6).passed
         assert len(prisms) == len(set(prisms)) == 8
+
+    def test_table1_takes_a_classified_total_from_the_split(
+        self, monkeypatch, fresh_oracle_memos
+    ):
+        # Stub the oracle: only which prisms are counted is under test here.
+        counted = []
+
+        def counting(d):
+            counted.append(d.as_tuple())
+            return 0
+
+        monkeypatch.setattr(polyprism.verify, "count_min_inscribed", counting)
+        monkeypatch.setattr(polyprism.verify, "count_min_corner", lambda d: 0)
+        monkeypatch.setattr(polyprism.verify, "count_2d_min", lambda b, k: 0)
+        monkeypatch.setattr(polyprism.verify, "weighted_2d_count", lambda b, k: 0)
+        monkeypatch.setattr(
+            polyprism.verify, "count_by_family", lambda d: dict.fromkeys(FamilyTag, 0)
+        )
+        crosscheck(4)
+        reproduce_table1(8)
+        assert (4, 4, 4) not in counted
+        for memo in (
+            polyprism.verify._oracle_total,
+            polyprism.verify._oracle_split,
+            polyprism.verify._split_prisms,
+        ):
+            memo.cache_clear()
+        reproduce_table1(8)  # without crosscheck, 4 x 4 x 4 is counted
+        assert counted.count((4, 4, 4)) == 1
 
     def test_oracle_sides_are_capped(self, monkeypatch, fresh_oracle_memos):
         highest = {}
