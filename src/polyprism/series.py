@@ -3,21 +3,17 @@
 Coefficients are exact integers on a dense grid indexed by the exponents of
 (x, y, z), i.e. by prism dimensions (b, k, h). Multiplication packs both
 operands into big integers (Kronecker substitution) so the convolution is a
-single big-integer product, on gmpy2 when it is installed and on ``int``
-otherwise; division is forward substitution and is cheap because every
-catalog denominator is a short polynomial with unit constant term.
+single ``int`` product; division is forward substitution and is cheap
+because every catalog denominator is a short polynomial with unit constant
+term. A catalog entry is built from rational functions whose numerators
+carry every monomial factor, so each piece is expanded on the bounds asked
+for and nothing is shifted afterwards.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
-
-try:
-    from gmpy2 import mpz
-except ImportError:  # gmpy2 is an optional extra
-    def mpz(v):
-        return v
 
 from .core import checked_count
 from .formulas import p2d_min
@@ -169,33 +165,6 @@ class TruncatedSeries:
                     out._c[out._idx(i, j, l)] = self._c[self._idx(i, j, l)]
         return out
 
-    def shift_up(self, exps: Bounds) -> "TruncatedSeries":
-        """Multiply by the monomial x^a y^b z^c (top coefficients fall off)."""
-        a, b, c = exps
-        bx, by, bz = self.bounds
-        out = TruncatedSeries(self.bounds)
-        for i in range(a, bx + 1):
-            for j in range(b, by + 1):
-                for l in range(c, bz + 1):
-                    out._c[out._idx(i, j, l)] = self._c[self._idx(i - a, j - b, l - c)]
-        return out
-
-    def shift_down(self, exps: Bounds) -> "TruncatedSeries":
-        """Exact division by a monomial; bounds shrink, low slices must be 0."""
-        a, b, c = exps
-        bx, by, bz = self.bounds
-        for (i, j, l), v in self.items():
-            if i < a or j < b or l < c:
-                raise ArithmeticError(
-                    f"series not divisible by x^{a} y^{b} z^{c}: term at {(i, j, l)}"
-                )
-        out = TruncatedSeries((bx - a, by - b, bz - c))
-        for i in range(bx - a + 1):
-            for j in range(by - b + 1):
-                for l in range(bz - c + 1):
-                    out._c[out._idx(i, j, l)] = self._c[self._idx(i + a, j + b, l + c)]
-        return out
-
     def permute(self, perm: Bounds) -> "TruncatedSeries":
         """Relabel variables: new axis t reads exponents from old axis perm[t]."""
         if sorted(perm) != [0, 1, 2]:
@@ -254,13 +223,11 @@ def _kronecker_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
     ap, an = split(a)
     bp, bn = split(b)
-    pp = mpz(_pack(ap, width_bytes))
-    pn = mpz(_pack(an, width_bytes))
-    qp = mpz(_pack(bp, width_bytes))
-    qn = mpz(_pack(bn, width_bytes))
+    pp, pn = _pack(ap, width_bytes), _pack(an, width_bytes)
+    qp, qn = _pack(bp, width_bytes), _pack(bn, width_bytes)
 
-    plus = _unpack(int(pp * qp + pn * qn), nslots, width_bytes)
-    minus = _unpack(int(pp * qn + pn * qp), nslots, width_bytes)
+    plus = _unpack(pp * qp + pn * qn, nslots, width_bytes)
+    minus = _unpack(pp * qn + pn * qp, nslots, width_bytes)
 
     out = TruncatedSeries(a.bounds)
     oc = out._c
@@ -279,9 +246,10 @@ def _kronecker_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 #
 # Every builder works on the bounds it is given, which need not be cubic, so
 # an entry symmetric in (x, y, z) sums its per-axis pieces over the three
-# axes. A factor in one variable, or in variables the other operand does not
-# use, is applied as a monomial shift followed by divisions; only products
-# of series that share variables go through Kronecker multiplication.
+# axes. A monomial factor goes into the numerator of a rational piece, and a
+# factor in variables the other operand does not use is applied by division;
+# only products of series that share variables go through Kronecker
+# multiplication.
 
 ONE = (0, 0, 0)
 AXES = (0, 1, 2)
@@ -299,6 +267,11 @@ def _den(*axes: int) -> Terms:
 
 def _others(axis: int) -> tuple[int, int]:
     return tuple(t for t in AXES if t != axis)
+
+
+def _times(terms: Iterable[tuple[tuple[int, int, int], int]], mono: Bounds) -> dict:
+    """The terms multiplied by the monomial with exponent vector ``mono``."""
+    return {tuple(a + m for a, m in zip(e, mono)): v for e, v in terms}
 
 
 def _poly_mul(*factors: Terms) -> dict:
@@ -334,39 +307,36 @@ def _build_stair(bounds: Bounds) -> TruncatedSeries:
 
 
 def _hook_bracket(bounds: Bounds) -> TruncatedSeries:
-    """1 + (Tripod + Deg2 + 2Dhook)/xyz, exact within ``bounds``."""
-    p = tuple(n + 1 for n in bounds)
-    hooks = _build_tripod(p)
+    """1 + (Tripod + Deg2 + 2Dhook)/xyz, with the 1/xyz in each numerator."""
+    # Tripod/xyz = xyz / ((1-x)(1-y)(1-z))
+    hooks = TruncatedSeries.one(bounds) + _rat(bounds, {(1, 1, 1): 1}, [_den(a) for a in AXES])
     for u in AXES:
         v, w = _others(u)
-        # Deg2 with the pilar along u: [2vw/(1-v-w) - 2vw/((1-v)(1-w))] * u^2/(1-u)
-        hooks += _rat(p, {_e(u, u, v, w): 2}, [_den(u), _den(v, w)])
-        hooks -= _rat(p, {_e(u, u, v, w): 2}, [_den(u), _den(v), _den(w)])
-        # 2Dhook in the vw plane: (vw)^2 u / ((1-v)(1-w))
-        hooks += _rat(p, {_e(u, v, v, w, w): 1}, [_den(v), _den(w)])
-    return TruncatedSeries.one(bounds) + hooks.shift_down((1, 1, 1))
+        # Deg2/xyz with the pilar along u: [2/(1-v-w) - 2/((1-v)(1-w))] * u/(1-u)
+        hooks += _rat(bounds, {_e(u): 2}, [_den(u), _den(v, w)])
+        hooks -= _rat(bounds, {_e(u): 2}, [_den(u), _den(v), _den(w)])
+        # 2Dhook/xyz in the vw plane: vw / ((1-v)(1-w))
+        hooks += _rat(bounds, {_e(v, w): 1}, [_den(v), _den(w)])
+    return hooks
 
 
 def _build_pc(bounds: Bounds) -> TruncatedSeries:
     return _build_stair(bounds) * _hook_bracket(bounds)
 
 
-def _corner(bounds: Bounds, u: int, v: int) -> TruncatedSeries:
-    """2D corner polyominoes in the uv plane: 2uv/(1-u-v) - uv/((1-u)(1-v))."""
-    return _rat(bounds, {_e(u, v): 2}, [_den(u, v)]) - _rat(
-        bounds, {_e(u, v): 1}, [_den(u), _den(v)]
-    )
+def _corner(bounds: Bounds, u: int, v: int, mono: Bounds) -> TruncatedSeries:
+    """mono * [2/(1-u-v) - 1/((1-u)(1-v))]; with mono = uv, the 2D corner
+    polyominoes in the uv plane."""
+    return _rat(bounds, {mono: 2}, [_den(u, v)]) - _rat(bounds, {mono: 1}, [_den(u), _den(v)])
 
 
 def _two_diag(bounds: Bounds, w: int) -> TruncatedSeries:
     """(1/uv) * corner(u, v)^2 * w/(1-w)^2: the pilar runs along w."""
     u, v = _others(w)
-    # the corner has no w terms, so it is squared on its own plane
-    plane = tuple(0 if t == w else n + 1 for t, n in enumerate(bounds))
-    corner = _corner(plane, u, v)
-    sq = (corner * corner).shift_down(_e(u, v))
-    times_w = {tuple(i + (t == w) for t, i in enumerate(e)): c for e, c in sq.items()}
-    return _rat(bounds, times_w, [_den(w), _den(w)])
+    # corner/uv has no w terms, so it is squared on its own plane
+    plane = tuple(0 if t == w else n for t, n in enumerate(bounds))
+    half = _corner(plane, u, v, ONE)
+    return _rat(bounds, _times((half * half).items(), (1, 1, 1)), [_den(w), _den(w)])
 
 
 def _build_diag(bounds: Bounds) -> TruncatedSeries:
@@ -384,7 +354,7 @@ def _build_diag(bounds: Bounds) -> TruncatedSeries:
 
 def _corner_min2(bounds: Bounds, u: int, v: int) -> TruncatedSeries:
     """2D corner polyominoes in the uv plane whose extent along v is >= 2."""
-    return _corner(bounds, u, v) - _rat(bounds, {_e(u, v): 1}, [_den(u)])
+    return _corner(bounds, u, v, _e(u, v)) - _rat(bounds, {_e(u, v): 1}, [_den(u)])
 
 
 def _p2dx2d_pair(bounds: Bounds, u: int, v: int, w: int) -> TruncatedSeries:
@@ -395,9 +365,9 @@ def _p2dx2d_pair(bounds: Bounds, u: int, v: int, w: int) -> TruncatedSeries:
     yellow = _corner_min2(bounds, v, w).scale(2) - _rat(
         bounds, {_e(w, w, v): 1}, [_den(v), _den(w)]
     )
-    # the skew hook SH = uw / ((1-u)(1-v)(1-w))
-    joined = _over((blue * yellow).shift_up(_e(u, w)), [_den(u), _den(v), _den(w)])
-    return joined.scale(2)
+    # times the skew hook SH = uw / ((1-u)(1-v)(1-w))
+    num = _times((blue * yellow).items(), _e(u, w))
+    return _rat(bounds, num, [_den(u), _den(v), _den(w)]).scale(2)
 
 
 def _build_p2dx2d(bounds: Bounds) -> TruncatedSeries:
@@ -422,8 +392,7 @@ def _sc_symmetric_numerator(bounds: Bounds, constant: int, sign: int) -> Truncat
         lin_c = {ONE: 1, _e(a): -1, _e(c): 1}
         for e, v in _poly_mul(lin_b, lin_c).items():
             acc[e] = acc.get(e, 0) + v
-    shifted = {(e[0] + 3, e[1] + 3, e[2] + 3): sign * v for e, v in acc.items()}
-    return _rat(bounds, shifted, _SC_DENS)
+    return _rat(bounds, _times(((e, sign * v) for e, v in acc.items()), (3, 3, 3)), _SC_DENS)
 
 
 def _build_sca(bounds: Bounds) -> TruncatedSeries:
@@ -452,8 +421,9 @@ _CATALOG: dict[str, Callable[[Bounds], TruncatedSeries]] = {
     "SC": _build_sc,
 }
 
-#: Smallest sorted (b, k, h) for which a family's coefficient equals its
-#: count; below these the inclusion-exclusion terms are invalid or vacuous.
+#: The family entries, with the smallest sorted (b, k, h) at which each family
+#: is nonempty. The raw coefficients are already 0 below these floors, except
+#: Diag's on prisms with a side of 1, which ``family_min`` corrects.
 GF_VALIDITY: dict[str, tuple[int, int, int]] = {
     "Diag": (2, 2, 2),
     "SC": (3, 3, 3),
@@ -495,19 +465,20 @@ def expand(name: str, bounds: Bounds) -> TruncatedSeries:
 def family_min(name: str, b: int, k: int, h: int, bounds: Bounds | None = None) -> int:
     """Minimal inscribed polycubes of one ``GF_VALIDITY`` family in a b x k x h prism.
 
-    A prism with a side of length 1 holds only the 2D (or 1D) minimal
-    polyominoes, which count as diagonal; the 3D inclusion-exclusion is not
-    valid there. Below its validity floor a family is empty. Otherwise the
-    count is the series coefficient, read from the expansion on ``bounds``
-    (default: the prism itself).
+    The count is the series coefficient, read from the expansion on ``bounds``
+    (default: the prism itself). Each family's coefficient is already 0 below
+    its ``GF_VALIDITY`` floor. A prism with a side of length 1 holds only the
+    2D (or 1D) minimal polyominoes, which count as diagonal; the 3D
+    inclusion-exclusion is not valid there, so Diag takes ``p2d_min``. The
+    other families are 0 there, and are not expanded.
     """
+    if name not in GF_VALIDITY:
+        raise UnknownSeriesError(name)
     if b < 1 or k < 1 or h < 1:
         raise ValueError(f"dimensions must be >= 1: {(b, k, h)}")
     sides = sorted((b, k, h))
     if sides[0] == 1:
         return p2d_min(sides[1], sides[2]) if name == "Diag" else 0
-    if any(s < f for s, f in zip(sides, GF_VALIDITY[name])):
-        return 0
     return expand(name, (b, k, h) if bounds is None else bounds).coeff(b, k, h)
 
 
@@ -516,20 +487,6 @@ def total_min(b: int, k: int, h: int, bounds: Bounds | None = None) -> int:
     return checked_count(
         sum(family_min(name, b, k, h, bounds) for name in ("Diag", "P2Dx2D", "SC"))
     )
-
-
-def volume_sequence(s: TruncatedSeries, n_max: int) -> list[int]:
-    """Entry m = sum of coefficients with b + k + h = m, for 0 <= m <= n_max."""
-    if any(bound < n_max for bound in s.bounds):
-        raise InsufficientBoundsError(
-            f"bounds {s.bounds} too small for total degree {n_max}"
-        )
-    out = [0] * (n_max + 1)
-    for (i, j, l), v in s.items():
-        m = i + j + l
-        if m <= n_max:
-            out[m] += v
-    return out
 
 
 def to_csv(s: TruncatedSeries) -> str:

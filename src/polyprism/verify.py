@@ -41,7 +41,7 @@ from .oracle import (
     count_min_inscribed,
     weighted_2d_count,
 )
-from .series import expand, family_min, total_min, volume_sequence
+from .series import family_min, total_min
 
 # Reference Table 1: rows indexed by family, columns n = 1..8, for the
 # n x n x n prism. Literal fixture data, not derived values.
@@ -222,14 +222,16 @@ def _oracle_split(b: int, k: int, h: int) -> tuple[int, ...]:
 
 
 def _oracle_count(row: str, b: int, k: int, h: int) -> int:
-    """The oracle's count of one Table 1 row. A prism classified already takes
-    its total from the split: the four family counts add up to the shapes
-    searched. So a run checks family rows before totals."""
+    """The oracle's count of one Table 1 row. The counts do not depend on the
+    order of the sides, so the memos key a prism by its sorted sides. A prism
+    classified already takes its total from the split: the four family counts
+    add up to the shapes searched. So a run checks family rows before totals."""
+    p = tuple(sorted((b, k, h)))
     if row != "total":
-        return _oracle_split(b, k, h)[list(_FAMILIES).index(row)]
-    if (b, k, h) in _split_prisms():
-        return sum(_oracle_split(b, k, h))
-    return _oracle_total(b, k, h)
+        return _oracle_split(*p)[list(_FAMILIES).index(row)]
+    if p in _split_prisms():
+        return sum(_oracle_split(*p))
+    return _oracle_total(*p)
 
 
 def _series_count(row: str, bounds: tuple[int, int, int], b: int, k: int, h: int) -> int:
@@ -243,17 +245,10 @@ def _table1_value(row: str, n: int, *_: int) -> int:
     return TABLE1[row][n - 1]
 
 
-def _series_volume(row: str, bounds: tuple[int, int, int], n: int) -> int:
-    """Volume-n count of one row: the sum over all (b, k, h) with b + k + h = n + 2."""
+def _series_volume(count: Callable[[int, int, int], int], n: int) -> int:
+    """Volume-n count: the sum of ``count`` over all (b, k, h) with b + k + h = n + 2."""
     m = n + 2
-    sides = ((b, k, m - b - k) for b in range(1, m - 1) for k in range(1, m - b))
-    return sum(_series_count(row, bounds, *p) for p in sides)
-
-
-@lru_cache(maxsize=4)
-def _volume_sequence(name: str, m_top: int) -> tuple[int, ...]:
-    """Volume counts of one catalog entry, from its expansion on the m_top cube."""
-    return tuple(volume_sequence(expand(name, (m_top,) * 3), m_top))
+    return sum(count(b, k, m - b - k) for b in range(1, m - 1) for k in range(1, m - b))
 
 
 def reproduce_table1(nmax: int = 8) -> VerificationReport:
@@ -281,7 +276,8 @@ def reproduce_table1(nmax: int = 8) -> VerificationReport:
 
 def series_volume_projection(nmax: int) -> list[int]:
     """Volume-n totals from the series engine, degenerate prisms included."""
-    return [_series_volume("total", (nmax, nmax, nmax), n) for n in range(1, nmax + 1)]
+    total = partial(total_min, bounds=(nmax, nmax, nmax))
+    return [_series_volume(total, n) for n in range(1, nmax + 1)]
 
 
 def reproduce_table2(nmax: int = 10) -> VerificationReport:
@@ -350,17 +346,17 @@ def crosscheck(
         _Family("total/oracle-vs-series/{0}x{1}x{2}", o_s, split,
                 _BKH, total, partial(_series_count, "total", bounds)),
         _Family("skewcross/formula-vs-series/{0}x{1}x{2}", f_s, _triples(3, max_dim),
-                _BKH, sc_prism, lambda *p: expand("SC", bounds).coeff(*p)),
+                _BKH, sc_prism, partial(family_min, "SC", bounds=bounds)),
         *(
             _Family(f"volume/{name}/formula-vs-series/n={{0:02d}}", f_s, volumes, "n={0}",
-                    formula, series)
-            for name, formula, series in (
-                ("SC", sc_volume, lambda n: _volume_sequence("SC", m_top)[n + 2]),
-                ("P2Dx2D", p2dx2d_volume, lambda n: _volume_sequence("P2Dx2D", m_top)[n + 2]),
+                    formula, partial(_series_volume, count))
+            for name, formula, count in (
+                ("SC", sc_volume, partial(family_min, "SC", bounds=vbounds)),
+                ("P2Dx2D", p2dx2d_volume, partial(family_min, "P2Dx2D", bounds=vbounds)),
                 # The closed diagonal volume formula carries the degenerate
                 # correction, which ``family_min`` applies to side-1 prisms.
-                ("Diag", diag_volume, partial(_series_volume, "diag", vbounds)),
-                ("total", p3dmin_volume, partial(_series_volume, "total", vbounds)),
+                ("Diag", diag_volume, partial(family_min, "Diag", bounds=vbounds)),
+                ("total", p3dmin_volume, partial(total_min, bounds=vbounds)),
             )
         ),
         _Family("corner2d/closed-vs-recurrence/{0}x{1}", ("formulas", "formulas"),

@@ -15,7 +15,6 @@ from polyprism.series import (
     family_min,
     to_csv,
     total_min,
-    volume_sequence,
 )
 
 B3 = (3, 3, 3)
@@ -67,17 +66,11 @@ class TestTruncatedSeries:
         num = TruncatedSeries.from_terms({(1, 1, 1): 5, (2, 0, 0): -1}, B3)
         assert num.div(d) * d == num
 
-    def test_crop_and_shift(self):
+    def test_crop(self):
         s = TruncatedSeries.from_terms({(1, 1, 1): 4}, B3)
         assert s.crop((1, 1, 1)).coeff(1, 1, 1) == 4
         with pytest.raises(InsufficientBoundsError):
             s.crop((4, 3, 3))
-        up = s.shift_up((1, 0, 0))
-        assert up.coeff(2, 1, 1) == 4
-        down = s.shift_down((1, 1, 1))
-        assert down.coeff(0, 0, 0) == 4 and down.bounds == (2, 2, 2)
-        with pytest.raises(ArithmeticError):
-            s.shift_down((2, 0, 0))
 
     def test_permute(self):
         s = TruncatedSeries.from_terms({(1, 2, 3): 7}, B3)
@@ -129,8 +122,27 @@ class TestCatalog:
         assert expand("SCb", B3).coeff(3, 3, 3) == 16
 
     def test_validity_floors_present(self):
-        for name in ("Diag", "SC", "SCa", "SCb", "P2Dx2D"):
-            assert name in GF_VALIDITY
+        assert GF_VALIDITY == {
+            "Diag": (2, 2, 2),
+            "SC": (3, 3, 3),
+            "SCa": (3, 3, 3),
+            "SCb": (3, 3, 3),
+            "P2Dx2D": (2, 3, 3),
+        }
+
+    @pytest.mark.parametrize("name", sorted(GF_VALIDITY))
+    def test_raw_coefficients_are_zero_below_the_floors(self, name):
+        # family_min reads the raw coefficient from the floor down: only
+        # Diag's side-1 prisms need a correction.
+        floor = GF_VALIDITY[name]
+        grids = [(14, 14, 14), (1, 30, 30), (2, 30, 30)]
+        grids += sorted(set(itertools.permutations((2, 2, 60))))
+        for bounds in grids:
+            for (b, k, h), v in expand(name, bounds).items():
+                sides = sorted((b, k, h))
+                below = any(s < f for s, f in zip(sides, floor))
+                if below and not (name == "Diag" and sides[0] == 1):
+                    pytest.fail(f"{name} has {v} at {(b, k, h)}, below {floor}")
 
     def test_sc_split_sums_to_sc(self):
         bounds = (6, 6, 6)
@@ -180,20 +192,18 @@ class TestTotals:
         with pytest.raises(ValueError):
             family_min("Diag", 2, 0, 2)
 
+    @pytest.mark.parametrize("name", ["Bogus", "Pc", "Stair", "Tripod"])
+    @pytest.mark.parametrize("sides", [(1, 4, 4), (1, 2, 3), (2, 2, 2), (3, 3, 3), (0, 2, 2)])
+    def test_family_min_rejects_a_name_outside_the_families(self, name, sides):
+        with pytest.raises(UnknownSeriesError):
+            family_min(name, *sides)
+
     def test_cached_grid_cannot_be_changed(self):
         grid = expand("SC", B3)
         with pytest.raises(TypeError):
             grid._c[-1] += 935
         assert total_min(3, 3, 3) == 2401
         assert grid == grid.copy() and grid.copy() == grid  # tuple and list grids
-
-    def test_volume_sequence(self):
-        stair = expand("Stair", (4, 4, 4))
-        seq = volume_sequence(stair, 4)
-        assert seq[3] == 1  # the single cell lives at total degree 3
-        assert seq[4] == 3  # three domino orientations
-        with pytest.raises(InsufficientBoundsError):
-            volume_sequence(stair, 9)
 
 
 class TestCsvExport:

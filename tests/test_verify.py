@@ -233,7 +233,9 @@ class TestCheckTable:
         for name in ("count_by_family", "count_min_inscribed"):
             monkeypatch.setattr(polyprism.verify, name, recording(getattr(polyprism.verify, name)))
         assert crosscheck(3).passed and reproduce_table1(6).passed
-        assert len(prisms) == len(set(prisms)) == 8
+        # the counts do not depend on the order of the sides: (3,2,2) is (2,2,3)
+        prisms = [tuple(sorted(p)) for p in prisms]
+        assert len(prisms) == len(set(prisms)) == 6
 
     def test_table1_takes_a_classified_total_from_the_split(
         self, monkeypatch, fresh_oracle_memos
