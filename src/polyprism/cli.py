@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 from typing import Callable, Sequence
 
 from .core import CountOverflowError, FamilyTag, PrismDims, format_polycube
@@ -245,6 +244,8 @@ def run(argv: Sequence[str] | None = None, out=None) -> int:
         print(f"output error: {exc}", file=sys.stderr)
         return EX_CANTCREAT
     except Exception as exc:  # the parser validated the input, so this is a bug
+        import traceback
+
         traceback.print_exc(file=sys.stderr)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_INTERNAL

@@ -10,7 +10,6 @@ series exponent n + 2 is applied here, once.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .core import checked_count
@@ -122,72 +121,63 @@ def sc_prism(b: int, k: int, h: int) -> int:
     return checked_count(64 * total)
 
 
-def _exact(value: Fraction) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"formula value is not an integer: {value}")
-    return checked_count(int(value))
+def _exact(numerator: int, denominator: int) -> int:
+    value, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"formula value is not an integer: {numerator}/{denominator}")
+    return checked_count(value)
 
 
 def sc_volume(n: int) -> int:
-    """Skew crosses of volume n, all prisms combined."""
+    """Skew crosses of volume n, all prisms combined.
+
+    With m = n + 2: 2^(m+2) (m^2 - 27m + 194)
+    - 8 (m^5/15 + 11m^3/3 + 12m^2 + 844m/15 + 96), computed over 15.
+    """
     _require_positive(n=n)
     if n < 7:  # series is 64 x^9 / ((1-2x)^3 (1-x)^6); volume n <-> x^(n+2)
         return 0
     m = n + 2
-    poly = Fraction(m**5, 15) + Fraction(11 * m**3, 3) + 12 * m**2 + Fraction(844 * m, 15) + 96
-    return _exact(2 ** (m + 2) * (m * m - 27 * m + 194) - 8 * poly)
+    poly = m**5 + 55 * m**3 + 180 * m**2 + 844 * m + 1440
+    return _exact(15 * 2 ** (m + 2) * (m * m - 27 * m + 194) - 8 * poly, 15)
 
 
 def p2dx2d_volume(n: int) -> int:
-    """2Dx2D polyominoes of volume n, all prisms combined."""
+    """2Dx2D polyominoes of volume n, all prisms combined.
+
+    With m = n + 2: 3 * 2^(m+2) (m - 15) + 3m^6/40 - 33m^5/40 + 65m^4/8
+    - 183m^3/8 + 544m^2/5 + 147m/10 + 234, computed over 40.
+    """
     _require_positive(n=n)
     if n < 6:  # series is 6 x^8 (1+2x)^2 / ((1-2x)^2 (1-x)^7)
         return 0
     m = n + 2
-    poly = (
-        Fraction(3, 40) * m**6
-        - Fraction(33, 40) * m**5
-        + Fraction(65, 8) * m**4
-        - Fraction(183, 8) * m**3
-        + Fraction(544, 5) * m**2
-        + Fraction(147, 10) * m
-        + 234
-    )
-    return _exact(3 * 2 ** (m + 2) * (m - 15) + poly)
+    poly = 3 * m**6 - 33 * m**5 + 325 * m**4 - 915 * m**3 + 4352 * m**2 + 588 * m + 9360
+    return _exact(120 * 2 ** (m + 2) * (m - 15) + poly, 40)
 
 
 def diag_volume(n: int) -> int:
-    """Diagonal polyominoes of volume n (degenerate prisms included)."""
+    """Diagonal polyominoes of volume n (degenerate prisms included).
+
+    With m = n + 2: 121 * 3^m / 48 - 2^m (45m - 411) - (53m^5/120 - 15m^4/8
+    + 823m^3/24 - 6m^2 + 22711m/60 + 4995/16), computed over 240.
+    """
     _require_positive(n=n)
     m = n + 2
-    poly = (
-        Fraction(53, 120) * m**5
-        - Fraction(15, 8) * m**4
-        + Fraction(823, 24) * m**3
-        - 6 * m**2
-        + Fraction(22711, 60) * m
-        + Fraction(4995, 16)
-    )
-    return _exact(Fraction(121, 48) * 3**m - 2**m * (45 * m - 411) - poly)
+    poly = 106 * m**5 - 450 * m**4 + 8230 * m**3 - 1440 * m**2 + 90844 * m + 74925
+    return _exact(605 * 3**m - 240 * 2**m * (45 * m - 411) - poly, 240)
 
 
 def p3dmin_volume(n: int) -> int:
-    """All minimal inscribed polycubes of volume n, over every prism shape."""
+    """All minimal inscribed polycubes of volume n, over every prism shape.
+
+    121 * 3^(n+1) / 16 + 2^(n+2) (4n^2 - 125n + 741) + 3n^6/40 - 9n^5/10
+    - 7n^4/2 - 133n^3/2 - 1931n^2/5 - 31727n/20 - 47739/16, computed over 80.
+    """
     _require_positive(n=n)
-    poly = (
-        Fraction(3, 40) * n**6
-        - Fraction(9, 10) * n**5
-        - Fraction(7, 2) * n**4
-        - Fraction(133, 2) * n**3
-        - Fraction(1931, 5) * n**2
-        - Fraction(31727, 20) * n
-        - Fraction(47739, 16)
-    )
-    return _exact(
-        Fraction(121 * 3 ** (n + 1), 16)
-        + 2 ** (n + 2) * (4 * n * n - 125 * n + 741)
-        + poly
-    )
+    num = 605 * 3 ** (n + 1) + 80 * 2 ** (n + 2) * (4 * n * n - 125 * n + 741)
+    num += 6 * n**6 - 72 * n**5 - 280 * n**4 - 5320 * n**3 - 30896 * n**2 - 126908 * n
+    return _exact(num - 238695, 80)
 
 
 def p3dmin_thickness2(b: int, k: int) -> int:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -197,6 +196,8 @@ def _over_roots(work: Callable[[tuple], object], d: PrismDims) -> list:
     b, k, h = sorted(d.as_tuple(), reverse=True)
     workers, n_roots = _threads(), k * h
     if workers > 1 and n_roots > 8:
+        from concurrent.futures import ProcessPoolExecutor  # loaded on first parallel use
+
         step = max(1, n_roots // (4 * workers))
         chunks = [(b, k, h, lo, min(lo + step, n_roots)) for lo in range(0, n_roots, step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -233,6 +234,7 @@ def weighted_2d_count(b: int, k: int) -> int:
     bijection; the 1 x 1 degenerate case yields 1 (single cell, degree 0),
     consistent with the unique minimal polycube of the 2 x 1 x 1 prism.
     """
+    PrismDims(b, k, 1)  # a side < 1 raises ValueError, as in count_2d_min
     b, k = sorted((b, k), reverse=True)  # longest side first: transposing keeps degrees
     nbr = _box(b, k, 1).nbr
     total = 0

@@ -13,7 +13,6 @@ Oracle results are memoised per prism and shared by every check of a run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
@@ -135,6 +134,8 @@ class VerificationReport:
         return 0
 
     def to_json(self) -> str:
+        import json
+
         payload = {
             "runs": [
                 {**asdict(r), "passed": r.passed} for r in self.runs

@@ -1,5 +1,8 @@
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,4 +188,26 @@ class TestUsage:
         monkeypatch.setattr(polyprism.cli, "total_min", broken)
         code, _ = _run(["count", "--b", "2", "--k", "2", "--h", "2", "--engine", "series"])
         assert code == EX_INTERNAL
-        assert "internal error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error" in err
+        assert err.startswith("Traceback (most recent call last):")
+        assert f"{fault.__name__}: broken invariant" in err
+
+
+class TestColdStart:
+    # Each CLI call is a fresh process: modules only some commands need load
+    # where they are used, not on import.
+    DEFERRED = ("concurrent.futures", "multiprocessing", "fractions", "decimal", "json", "traceback")
+
+    def test_import_leaves_out_the_deferred_modules(self):
+        src = Path(polyprism.cli.__file__).resolve().parent.parent
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import polyprism, polyprism.cli; "
+            f"print([m for m in {self.DEFERRED!r} if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", probe, str(src)],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert proc.stdout.strip() == "[]"

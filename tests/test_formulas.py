@@ -1,7 +1,10 @@
+from functools import partial
+
 import pytest
 
 from polyprism.core import CountOverflowError
 from polyprism.formulas import (
+    _exact,
     binom,
     binom_gen,
     diag_volume,
@@ -18,6 +21,7 @@ from polyprism.formulas import (
     sc_volume,
     trinom,
 )
+from polyprism.series import family_min, total_min
 
 
 class TestBinomials:
@@ -102,6 +106,29 @@ class TestVolumeFormulas:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             p3dmin_volume(0)
+
+    @pytest.mark.parametrize(
+        "fn, name",
+        [(sc_volume, "SC"), (p2dx2d_volume, "P2Dx2D"), (diag_volume, "Diag"),
+         (p3dmin_volume, None)],
+    )
+    def test_matches_the_series_to_volume_12(self, fn, name):
+        # every prism of volume n <= 12 has sides <= 12, inside one 14^3 expansion
+        if name is None:
+            count = partial(total_min, bounds=(14, 14, 14))
+        else:
+            count = partial(family_min, name, bounds=(14, 14, 14))
+        for n in range(1, 13):
+            m = n + 2
+            series = sum(
+                count(b, k, m - b - k) for b in range(1, m - 1) for k in range(1, m - b)
+            )
+            assert fn(n) == series, n
+
+    def test_exact_rejects_a_remainder(self):
+        assert _exact(-45, 15) == -3
+        with pytest.raises(ArithmeticError, match="not an integer: 7/15"):
+            _exact(7, 15)
 
 
 class TestThicknessFormulas:

@@ -1,5 +1,5 @@
+import concurrent.futures
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -103,6 +103,13 @@ class TestWeighted2D:
         for b in range(2, 7):
             for k in range(2, 7):
                 assert weighted_2d_count(b, k) == p3dmin_thickness2(b, k)
+
+    @pytest.mark.parametrize("sides", [(0, 3), (3, 0), (-1, 2)])
+    def test_rejects_a_side_below_one(self, sides):
+        with pytest.raises(ValueError, match="prism dimensions"):
+            weighted_2d_count(*sides)
+        with pytest.raises(ValueError, match="prism dimensions"):
+            count_2d_min(*sides)
 
 
 class TestIteration:
@@ -272,16 +279,17 @@ class TestThreads:
 
 
 def _record_dispatch(monkeypatch) -> list:
-    """Record the chunks the oracle hands to its worker processes."""
+    """Record the chunks the oracle hands to its worker processes; the oracle
+    looks the pool up in ``concurrent.futures`` each time it starts one."""
     chunks = []
 
-    class Recording(ProcessPoolExecutor):
+    class Recording(concurrent.futures.ProcessPoolExecutor):
         def map(self, fn, jobs, **kwargs):
             jobs = list(jobs)
             chunks.extend(jobs)
             return super().map(fn, jobs, **kwargs)
 
-    monkeypatch.setattr(polyprism.oracle, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     return chunks
 
 
