@@ -40,15 +40,6 @@ from .core import (
 )
 
 
-class _Orientation(NamedTuple):
-    """One of the four space diagonals, seen from its near corner."""
-
-    low: list[int]  # cell -> sub-box between the near corner and the cell
-    high: list[int]  # cell -> sub-box between the cell and the far corner
-    near: tuple[int, int, int]  # the three face planes through the near corner
-    far: tuple[int, int, int]
-
-
 class _Box(NamedTuple):
     """Per-cell tables of one prism, indexed by cell index."""
 
@@ -56,7 +47,9 @@ class _Box(NamedTuple):
     nbr: list[int]  # face neighbours
     plane: tuple[list[int], list[int], list[int]]  # per axis: plane through the cell
     steps: tuple[int, ...]  # h, k*h and the targets of the +y, -y, +z, -z shifts
-    orients: tuple[_Orientation, ...]
+    orients: tuple[tuple[list[int], list[int]], ...]  # per diagonal: cell -> low, high
+    comparable: list[int]  # per diagonal o, in bits o*n..o*n+n-1: low | high
+    copies: int  # a mask times this is four copies of it, one per diagonal
 
 
 @lru_cache(maxsize=32)
@@ -78,28 +71,28 @@ def _box(b: int, k: int, h: int) -> _Box:
     # per axis: coordinate t -> planes 0..t, and planes t..n-1
     upto = [[sum(p[: t + 1]) for t in range(len(p))] for p in planes]
     down = [[sum(p[t:]) for t in range(len(p))] for p in planes]
-    fx, fy, fz = b - 1, k - 1, h - 1
-    px, py, pz = planes
+    py, pz = planes[1:]
     orients = []
     for flip_y in (False, True):
         for flip_z in (False, True):
             ylo, yhi = (down[1], upto[1]) if flip_y else (upto[1], down[1])
             zlo, zhi = (down[2], upto[2]) if flip_z else (upto[2], down[2])
-            orients.append(
-                _Orientation(
-                    low=[upto[0][x] & ylo[y] & zlo[z] for x, y, z in coords],
-                    high=[down[0][x] & yhi[y] & zhi[z] for x, y, z in coords],
-                    near=(px[0], py[fy] if flip_y else py[0], pz[fz] if flip_z else pz[0]),
-                    far=(px[fx], py[0] if flip_y else py[fy], pz[0] if flip_z else pz[fz]),
-                )
-            )
-    full = (1 << len(coords)) - 1
+            # the sub-boxes between the near corner and the cell, and the cell and the far corner
+            low = [upto[0][x] & ylo[y] & zlo[z] for x, y, z in coords]
+            high = [down[0][x] & yhi[y] & zhi[z] for x, y, z in coords]
+            orients.append((low, high))
+    n = len(coords)
+    full = (1 << n) - 1
     return _Box(
         cells=tuple(Cell(*c) for c in coords),
         nbr=nbr,
         plane=tuple([p[c[a]] for c in coords] for a, p in enumerate(planes)),
-        steps=(h, k * h, full ^ py[0], full ^ py[fy], full ^ pz[0], full ^ pz[fz]),
+        steps=(h, k * h, full ^ py[0], full ^ py[-1], full ^ pz[0], full ^ pz[-1]),
         orients=tuple(orients),
+        comparable=[
+            sum((lo[i] | hi[i]) << j * n for j, (lo, hi) in enumerate(orients)) for i in range(n)
+        ],
+        copies=sum(1 << j * n for j in range(len(orients))),
     )
 
 
@@ -222,9 +215,26 @@ def count_min_corner(d: PrismDims) -> int:
     return checked_count(_search(*d.as_tuple(), roots=[0]))
 
 
+@lru_cache(maxsize=64)
+def _rectangle(b: int, k: int) -> tuple[int, int]:
+    """Minimal inscribed polyominoes of the b x k rectangle, and their sum of
+    2^deg(x) over cells x, from one search; ``verify`` asks for both."""
+    PrismDims(b, k, 1)  # a side < 1 raises ValueError
+    b, k = sorted((b, k), reverse=True)  # longest side first: transposing keeps degrees
+    nbr = _box(b, k, 1).nbr
+    weighted = 0
+
+    def visit(shape: int) -> None:
+        nonlocal weighted
+        for c in _bits(shape):
+            weighted += 1 << (nbr[c] & shape).bit_count()
+
+    return checked_count(_search(b, k, 1, visit=visit)), checked_count(weighted)
+
+
 def count_2d_min(b: int, k: int) -> int:
     """Minimal inscribed 2D polyominoes in a b x k rectangle, by brute force."""
-    return count_min_inscribed(PrismDims(b, k, 1))
+    return _rectangle(b, k)[0]
 
 
 def weighted_2d_count(b: int, k: int) -> int:
@@ -234,18 +244,7 @@ def weighted_2d_count(b: int, k: int) -> int:
     bijection; the 1 x 1 degenerate case yields 1 (single cell, degree 0),
     consistent with the unique minimal polycube of the 2 x 1 x 1 prism.
     """
-    PrismDims(b, k, 1)  # a side < 1 raises ValueError, as in count_2d_min
-    b, k = sorted((b, k), reverse=True)  # longest side first: transposing keeps degrees
-    nbr = _box(b, k, 1).nbr
-    total = 0
-
-    def visit(shape: int) -> None:
-        nonlocal total
-        for c in _bits(shape):
-            total += 1 << (nbr[c] & shape).bit_count()
-
-    _search(b, k, 1, visit=visit)
-    return checked_count(total)
+    return _rectangle(b, k)[1]
 
 
 def _flood(seed: int, within: int, box: _Box) -> int:
@@ -276,30 +275,28 @@ def _is_diagonal(shape: int, box: _Box) -> bool:
     polycubes of a sub-box are exactly its minimal inscribed polycubes that
     contain the sub-box corner. Every stair cell is a cut cell with a
     one-cell stair, so it suffices to find one cell u such that every cell
-    of the shape lies below or above it.
+    of the shape lies below or above it, that is, is comparable with it.
 
     The part below u and the part above u then share only u, and no cell of
     one touches a cell of the other, so both are connected because the
-    shape is. If they meet the near and the far faces respectively, they
-    are inscribed in the sub-boxes on either side of u, whose minimal
-    volumes add up to the shape's volume plus one. That is the number of
-    cells the two parts hold together, so both are minimal: corner
-    polycubes.
+    shape is. The part below u meets every near face: the inscribed shape
+    has a cell c on it, and if c lies above u, so that u lies between the
+    face and c, then u is on the face too. So does the part above u meet
+    every far face. The two parts are thus inscribed in the sub-boxes on
+    either side of u, whose minimal volumes add up to the shape's volume
+    plus one. That is the number of cells the two parts hold together, so
+    both are minimal: corner polycubes.
+
+    Comparability is symmetric: c is comparable with u iff u is with c. So
+    the cells u sought are the shape's cells in the AND of ``comparable[c]``
+    over the shape's cells c, four diagonals side by side.
     """
-    for o in box.orients:
-        rest = shape
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            u = bit.bit_length() - 1
-            below, above = o.low[u], o.high[u]
-            if (
-                not shape & ~(below | above)
-                and all(shape & below & p for p in o.near)
-                and all(shape & above & p for p in o.far)
-            ):
-                return True
-    return False
+    common = shape * box.copies
+    for c in _bits(shape):
+        common &= box.comparable[c]
+        if not common:
+            return False
+    return True
 
 
 def _corner_plane_normal(piece: int, c: int, box: _Box) -> int | None:
@@ -308,7 +305,7 @@ def _corner_plane_normal(piece: int, c: int, box: _Box) -> int | None:
     rectangle; None otherwise. A straight rod lies in two planes and gets
     the first normal."""
     if not any(
-        not piece & ~octant for o in box.orients for octant in (o.low[c], o.high[c])
+        not piece & ~octant for low, high in box.orients for octant in (low[c], high[c])
     ):
         return None
     return next((a for a in range(3) if not piece & ~box.plane[a][c]), None)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import checked_count
-from .formulas import p2d_min
+from .formulas import p2d_min, trinom
 
 Bounds = tuple[int, int, int]
 Terms = Mapping[tuple[int, int, int], int]
@@ -471,6 +471,12 @@ def family_min(name: str, b: int, k: int, h: int, bounds: Bounds | None = None) 
     2D (or 1D) minimal polyominoes, which count as diagonal; the 3D
     inclusion-exclusion is not valid there, so Diag takes ``p2d_min``. The
     other families are 0 there, and are not expanded.
+
+    Every monotone lattice path between opposite corners is a diagonal
+    minimal polycube, so Diag's count is at least the Stair coefficient
+    ``trinom(b - 1, k - 1, h - 1)``: past the 127-bit cap it raises
+    ``CountOverflowError`` before expanding anything. The other families
+    can count fewer shapes than the Stair, and take no such bound.
     """
     if name not in GF_VALIDITY:
         raise UnknownSeriesError(name)
@@ -479,11 +485,14 @@ def family_min(name: str, b: int, k: int, h: int, bounds: Bounds | None = None) 
     sides = sorted((b, k, h))
     if sides[0] == 1:
         return p2d_min(sides[1], sides[2]) if name == "Diag" else 0
+    if name == "Diag":
+        trinom(b - 1, k - 1, h - 1)  # the monotone paths: raises past the cap
     return expand(name, (b, k, h) if bounds is None else bounds).coeff(b, k, h)
 
 
 def total_min(b: int, k: int, h: int, bounds: Bounds | None = None) -> int:
-    """Total minimal inscribed polycubes in a b x k x h prism via the series."""
+    """Total minimal inscribed polycubes in a b x k x h prism via the series;
+    Diag comes first, so its overflow bound raises before any expansion."""
     return checked_count(
         sum(family_min(name, b, k, h, bounds) for name in ("Diag", "P2Dx2D", "SC"))
     )

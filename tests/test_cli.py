@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,12 @@ class TestCount:
     def test_overflow_exit_code(self):
         code, _ = _run(["count", "--b", "1", "--k", "200", "--h", "200", "--engine", "formula"])
         assert code == EX_OVERFLOW
+
+    def test_series_overflow_exits_before_expanding(self):
+        start = time.perf_counter()
+        code, _ = _run(["count", "--engine", "series", "--b", "200", "--k", "200", "--h", "200"])
+        assert code == EX_OVERFLOW
+        assert time.perf_counter() - start < 0.1
 
     def test_series_on_a_long_thin_prism(self):
         code, out = _run(["count", "--engine", "series", "--b", "2", "--k", "3", "--h", "400"])

@@ -9,6 +9,7 @@ from polyprism.formulas import p2d_min, p3d_corner_rec, p3dmin_thickness2
 from polyprism.oracle import (
     _box,
     _family,
+    _is_diagonal,
     _polycube,
     _search,
     _threads,
@@ -244,6 +245,53 @@ class TestClassify:
         assert count_by_family(d) == tally
 
 
+def _diagonal_by_cut_cells(shape: int, box) -> bool:
+    """The diagonal test as a scan: for each orientation and each cell u of
+    the shape, is every cell below or above u, do the cells below meet the
+    three near faces, and do the cells above meet the three far faces?"""
+    last = len(box.cells) - 1  # the corner opposite cell 0
+    for i, (low, high) in enumerate(box.orients):
+        flips = (0, *divmod(i, 2))  # y outer, z inner, as in _box
+        near = tuple(box.plane[a][last if flip else 0] for a, flip in enumerate(flips))
+        far = tuple(box.plane[a][0 if flip else last] for a, flip in enumerate(flips))
+        rest = shape
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            below, above = low[u], high[u]
+            if (
+                not shape & ~(below | above)
+                and all(shape & below & p for p in near)
+                and all(shape & above & p for p in far)
+            ):
+                return True
+    return False
+
+
+class TestDiagonalTest:
+    """The one AND-fold against the scan over cut cells with face checks,
+    on every shape of each prism, in every axis order named."""
+
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            *itertools.product(range(1, 4), repeat=3),
+            *itertools.permutations((2, 3, 4)),
+            *sorted(set(itertools.permutations((3, 3, 4)))),
+            *sorted(set(itertools.permutations((2, 4, 4)))),
+            *sorted(set(itertools.permutations((2, 2, 6)))),
+        ],
+    )
+    def test_matches_the_scan_over_cut_cells(self, dims):
+        box = _box(*dims)
+        masks = []
+        _search(*dims, visit=masks.append)
+        assert [_is_diagonal(m, box) for m in masks] == [
+            _diagonal_by_cut_cells(m, box) for m in masks
+        ]
+
+
 class TestThreads:
     def test_default_is_single(self, monkeypatch):
         monkeypatch.delenv("POLYCUBE_THREADS", raising=False)
@@ -346,6 +394,7 @@ class TestSymmetry:
 
         monkeypatch.setattr(polyprism.oracle, "_search", recording)
         monkeypatch.delenv("POLYCUBE_THREADS", raising=False)
+        polyprism.oracle._rectangle.cache_clear()  # rectangles searched by earlier tests
         count_min_inscribed(PrismDims(2, 3, 4))
         count_2d_min(2, 5)
         count_by_family(PrismDims(3, 2, 4))

@@ -1,7 +1,10 @@
 import itertools
+from functools import partial
 
 import pytest
 
+import polyprism.series
+from polyprism.core import CountOverflowError
 from polyprism.formulas import p2d_min, p3dmin_thickness2, p3dmin_thickness3, trinom
 from polyprism.series import (
     GF_VALIDITY,
@@ -163,6 +166,20 @@ class TestCatalog:
                     assert pc.coeff(b, k, h) == p3d_corner_rec(b, k, h)
 
 
+def _stub_expand(monkeypatch) -> list:
+    """Replace ``series.expand`` by a zero grid; return the names it is asked for."""
+
+    class Zero:
+        def coeff(self, b, k, h):
+            return 0
+
+    expanded = []
+    monkeypatch.setattr(
+        polyprism.series, "expand", lambda name, bounds: expanded.append(name) or Zero()
+    )
+    return expanded
+
+
 class TestTotals:
     def test_total_min_known_values(self):
         assert total_min(1, 1, 1) == 1
@@ -197,6 +214,24 @@ class TestTotals:
     def test_family_min_rejects_a_name_outside_the_families(self, name, sides):
         with pytest.raises(UnknownSeriesError):
             family_min(name, *sides)
+
+    def test_diag_bound_raises_before_any_expansion(self, monkeypatch):
+        expanded = _stub_expand(monkeypatch)
+        # the Stair count passes 2**127 from the 30-cube and from 2 x 63 x 63
+        for sides in ((30, 30, 30), (63, 2, 63), (2, 63, 63), (200, 200, 200)):
+            for count in (total_min, partial(family_min, "Diag")):
+                with pytest.raises(CountOverflowError):
+                    count(*sides)
+        assert expanded == []
+        for sides in ((29, 29, 29), (2, 62, 62)):  # just below the cap
+            assert family_min("Diag", *sides) == 0
+        assert expanded == ["Diag", "Diag"]
+
+    @pytest.mark.parametrize("name", ["P2Dx2D", "SC", "SCa", "SCb"])
+    def test_other_families_take_no_bound(self, monkeypatch, name):
+        expanded = _stub_expand(monkeypatch)
+        assert family_min(name, 30, 30, 30) == 0
+        assert expanded == [name]
 
     def test_cached_grid_cannot_be_changed(self):
         grid = expand("SC", B3)

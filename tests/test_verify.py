@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import polyprism.oracle
 import polyprism.verify
 from polyprism.cli import run
 from polyprism.core import FamilyTag, PrismDims
@@ -14,6 +15,7 @@ from polyprism.verify import (
     CheckResult,
     Erratum,
     VerificationReport,
+    _pairs,
     crosscheck,
     reproduce_table1,
     reproduce_table2,
@@ -186,6 +188,7 @@ def fresh_oracle_memos():
         polyprism.verify._oracle_total,
         polyprism.verify._oracle_split,
         polyprism.verify._split_prisms,
+        polyprism.oracle._rectangle,
     )
     for memo in memos:
         memo.cache_clear()
@@ -236,6 +239,22 @@ class TestCheckTable:
         # the counts do not depend on the order of the sides: (3,2,2) is (2,2,3)
         prisms = [tuple(sorted(p)) for p in prisms]
         assert len(prisms) == len(set(prisms)) == 6
+
+    def test_verify_four_searches_each_rectangle_once(self, monkeypatch, fresh_oracle_memos):
+        searches = []
+        search = polyprism.oracle._search
+
+        def recording(b, k, h, roots=None, visit=None):
+            searches.append((b, k, h, roots))
+            return search(b, k, h, roots=roots, visit=visit)
+
+        monkeypatch.setattr(polyprism.oracle, "_search", recording)
+        assert run(["verify", "--max-dim", "4"], out=io.StringIO()) == 0
+        # one search gives a rectangle's count and weighted sum (47 searches
+        # when each took its own): the 10 with sides <= 4, longest side first
+        rectangles = [s for s in searches if s[2] == 1 and s[3] is None]
+        assert sorted(rectangles) == sorted((k, b, 1, None) for b, k in _pairs(1, 4))
+        assert len(searches) == 41
 
     def test_table1_takes_a_classified_total_from_the_split(
         self, monkeypatch, fresh_oracle_memos
