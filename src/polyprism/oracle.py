@@ -150,14 +150,17 @@ def _search(
 
     count = 0
     rem = b + k + h - 3  # cells to add to the root
-    for root in roots:
-        bit = 1 << root
-        below = (bit << 1) - 1
-        ext = nbr[root] & ~below
-        if rem < 2:
-            count += leaves(bit, ext) if rem else leaves(0, bit)
-        else:
-            count += tight(bit, ext, below | ext, px[root], py[root], pz[root], rem)
+    try:
+        for root in roots:
+            bit = 1 << root
+            below = (bit << 1) - 1
+            ext = nbr[root] & ~below
+            if rem < 2:
+                count += leaves(bit, ext) if rem else leaves(0, bit)
+            else:
+                count += tight(bit, ext, below | ext, px[root], py[root], pz[root], rem)
+    finally:
+        del tight  # it refers to itself, and through ``leaves`` to ``visit``
     return count
 
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -51,6 +52,24 @@ class TestCount:
         code, _ = _run(["count", "--engine", "series", "--b", "200", "--k", "200", "--h", "200"])
         assert code == EX_OVERFLOW
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("axis", ["--b", "--k", "--h"])
+    @pytest.mark.parametrize(
+        "short,long,code,expected",
+        [
+            pytest.param((2, 2), 10**12, 0, str(p3dmin_thickness2(2, 10**12)), id="2x2x1e12"),
+            pytest.param((4, 5), 10**12, EX_OVERFLOW, "", id="4x5x1e12"),
+            pytest.param((4, 5), 3000, 0, "979180712484941275141064", id="4x5x3000"),
+        ],
+    )
+    def test_series_on_a_huge_long_side(self, axis, short, long, code, expected):
+        sides = dict(zip([a for a in ("--b", "--k", "--h") if a != axis], map(str, short)))
+        sides[axis] = str(long)
+        start = time.perf_counter()
+        got, out = _run(["count", "--engine", "series", *itertools.chain(*sides.items())])
+        assert time.perf_counter() - start < 0.1
+        assert (got, out.strip()) == (code, expected)
+        assert expected != "" or out == ""
 
     def test_series_on_a_long_thin_prism(self):
         code, out = _run(["count", "--engine", "series", "--b", "2", "--k", "3", "--h", "400"])

@@ -1,5 +1,7 @@
 import concurrent.futures
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -63,6 +65,20 @@ class TestSearchPaths:
         expected = _naive_shapes(*dims)
         assert count == len(seen) == len(expected) > 0
         assert set(seen) == expected
+
+    def test_visit_target_is_freed_when_the_search_returns(self):
+        class Masks(list):  # a plain list takes no weak reference
+            pass
+
+        found = Masks()
+        ref = weakref.ref(found)
+        gc.disable()  # the target must go by reference counting alone
+        try:
+            assert _search(3, 3, 3, roots=[0], visit=found.append) == len(found) == 343
+            del found
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestMinimalCounts:

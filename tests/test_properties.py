@@ -14,7 +14,7 @@ from polyprism.formulas import (
     sc_volume,
 )
 from polyprism.oracle import count_min_inscribed
-from polyprism.series import TruncatedSeries, total_min
+from polyprism.series import GF_VALIDITY, TruncatedSeries, expand, family_min, total_min
 
 BOUNDS = (3, 3, 3)
 
@@ -51,6 +51,23 @@ class TestRingLaws:
     def test_division_inverts_multiplication(self, a, d):
         assert (a * d).div(d) == a
         assert a.div(d) * d == a
+
+
+@st.composite
+def long_prisms(draw):
+    """A family and a prism whose longest side exceeds the sum of the others."""
+    s1 = draw(st.integers(2, 7))
+    s2 = draw(st.integers(s1, 7))
+    sides = (s1, s2, draw(st.integers(s1 + s2 + 1, 60)))
+    return draw(st.sampled_from(sorted(GF_VALIDITY))), tuple(draw(st.permutations(sides)))
+
+
+class TestLongSide:
+    @settings(max_examples=30, deadline=None)
+    @given(long_prisms())
+    def test_long_side_path_equals_the_whole_grid(self, case):
+        name, dims = case
+        assert family_min(name, *dims) == expand(name, dims).coeff(*dims)
 
 
 class TestPermutationSymmetry:

@@ -5,7 +5,7 @@ import pytest
 
 import polyprism.series
 from polyprism.core import CountOverflowError
-from polyprism.formulas import p2d_min, p3dmin_thickness2, p3dmin_thickness3, trinom
+from polyprism.formulas import p2d_min, p3dmin_thickness2, p3dmin_thickness3, sc_prism, trinom
 from polyprism.series import (
     GF_VALIDITY,
     BoundsMismatchError,
@@ -197,6 +197,9 @@ class TestTotals:
     def test_thin_prisms_match_the_thickness_formulas(self):
         assert total_min(2, 2, 300) == p3dmin_thickness2(2, 300)
         assert total_min(3, 5, 200) == p3dmin_thickness3(5, 200)
+        assert total_min(2, 2, 10**6) == p3dmin_thickness2(2, 10**6)
+        assert total_min(3, 4, 10**5) == p3dmin_thickness3(4, 10**5)
+        assert total_min(2, 10**12, 2) == p3dmin_thickness2(2, 10**12)
 
     def test_family_min_on_degenerate_and_small_prisms(self):
         assert expand("Diag", (1, 1, 1)).coeff(1, 1, 1) == -2  # invalid raw term
@@ -217,21 +220,44 @@ class TestTotals:
 
     def test_diag_bound_raises_before_any_expansion(self, monkeypatch):
         expanded = _stub_expand(monkeypatch)
-        # the Stair count passes 2**127 from the 30-cube and from 2 x 63 x 63
-        for sides in ((30, 30, 30), (63, 2, 63), (2, 63, 63), (200, 200, 200)):
+        # four times the Stair count passes 2**127 from the 29-cube and 2 x 62 x 62
+        for sides in (
+            (29, 29, 29), (62, 2, 62), (2, 62, 62), (30, 30, 30), (2, 63, 63), (200, 200, 200)
+        ):
             for count in (total_min, partial(family_min, "Diag")):
                 with pytest.raises(CountOverflowError):
                     count(*sides)
         assert expanded == []
-        for sides in ((29, 29, 29), (2, 62, 62)):  # just below the cap
+        for sides in ((28, 28, 28), (2, 61, 61)):  # just below the cap
             assert family_min("Diag", *sides) == 0
         assert expanded == ["Diag", "Diag"]
+
+    def test_diag_is_at_least_four_times_the_stair(self):
+        for b, k, h in itertools.combinations_with_replacement(range(2, 7), 3):
+            assert family_min("Diag", b, k, h) >= 4 * trinom(b - 1, k - 1, h - 1)
 
     @pytest.mark.parametrize("name", ["P2Dx2D", "SC", "SCa", "SCb"])
     def test_other_families_take_no_bound(self, monkeypatch, name):
         expanded = _stub_expand(monkeypatch)
         assert family_min(name, 30, 30, 30) == 0
         assert expanded == [name]
+
+    @pytest.mark.parametrize("dims", [(4, 5, 3000), (4, 3000, 5), (3000, 5, 4)])
+    def test_long_side_expands_only_up_to_the_two_shorter_sides(self, monkeypatch, dims):
+        bounds = []
+        monkeypatch.setattr(
+            polyprism.series, "expand", lambda name, b: bounds.append(b) or expand(name, b)
+        )
+        assert family_min("SC", *dims) == sc_prism(4, 5, 3000)
+        assert bounds == [tuple(9 if n == 3000 else n for n in dims)]
+        assert family_min("SC", 4, 5, 12, bounds=(5, 5, 12)) == sc_prism(4, 5, 12)
+        assert bounds[1:] == [(5, 5, 12)]  # given bounds keep the grid path
+
+    def test_long_side_overflow_is_checked(self):
+        with pytest.raises(CountOverflowError):
+            total_min(4, 5, 10**12)
+        with pytest.raises(CountOverflowError):
+            family_min("SC", 4, 5, 10**12)
 
     def test_cached_grid_cannot_be_changed(self):
         grid = expand("SC", B3)
