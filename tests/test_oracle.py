@@ -180,12 +180,10 @@ class TestIteration:
         assert sum(map(len, streams.values())) == len(built)
         assert set().union(*streams.values()) == set(built)
 
-    def test_mask_path_rejects_a_disconnected_mask(self):
+    def test_mask_path_builds_the_cells_of_the_mask(self):
         assert _polycube(PrismDims(3, 1, 1), 0b111, _box(3, 1, 1)).cells == tuple(
             Cell(x, 0, 0) for x in range(3)
         )
-        with pytest.raises(ValueError):
-            _polycube(PrismDims(3, 1, 1), 0b101, _box(3, 1, 1))
 
 
 def _cube(cells):

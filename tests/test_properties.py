@@ -1,7 +1,10 @@
-"""Property-based cross-checks: ring laws, symmetry, degeneration, integrality."""
+"""Property-based cross-checks: ring laws, the product against the naive
+convolution, symmetry, degeneration, integrality."""
 
 import itertools
+import operator
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,6 +54,48 @@ class TestRingLaws:
     def test_division_inverts_multiplication(self, a, d):
         assert (a * d).div(d) == a
         assert a.div(d) * d == a
+
+
+def _naive_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """The truncated convolution by its definition: the reference for ``*``."""
+    terms: dict = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = tuple(p + q for p, q in zip(e1, e2))
+            if all(n <= m for n, m in zip(e, a.bounds)):
+                terms[e] = terms.get(e, 0) + v1 * v2
+    return TruncatedSeries.from_terms(terms, a.bounds)
+
+
+# small coefficients keep one-byte slots; large ones cross byte boundaries
+magnitudes = st.one_of(st.integers(1, 3), st.integers(1, 2**126))
+signed_coefficients = st.one_of(magnitudes, magnitudes.map(operator.neg))
+
+
+def _grids(bounds: tuple[int, int, int], values) -> st.SearchStrategy:
+    exps = st.tuples(*(st.integers(0, n) for n in bounds))
+    size = (bounds[0] + 1) * (bounds[1] + 1) * (bounds[2] + 1)
+    return st.dictionaries(exps, values, max_size=size).map(
+        lambda terms: TruncatedSeries.from_terms(terms, bounds)
+    )
+
+
+class TestProduct:
+    @pytest.mark.parametrize("kind", ["mixed", "negative", "square", "zero"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_product_equals_the_naive_convolution(self, kind, data):
+        bounds = data.draw(st.tuples(*[st.integers(0, 4)] * 3))
+        values = magnitudes.map(operator.neg) if kind == "negative" else signed_coefficients
+        a = data.draw(_grids(bounds, values))
+        if kind == "square":
+            b = a
+        elif kind == "zero":
+            b = TruncatedSeries(bounds)
+        else:
+            b = data.draw(_grids(bounds, values))
+        assert a * b == _naive_product(a, b)
+        assert b * a == _naive_product(b, a)
 
 
 @st.composite
