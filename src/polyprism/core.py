@@ -182,6 +182,9 @@ def parse_polycubes(text: str) -> list[Polycube]:
         if head[0] != "dims" or len(head) != 4:
             raise ValueError(f"bad header line: {lines[0]!r}")
         dims = PrismDims(*(int(v) for v in head[1:]))
+        for ln in lines[1:]:
+            if len(ln.split()) != 3:
+                raise ValueError(f"bad cell line: {ln!r}")
         cells = [Cell(*(int(v) for v in ln.split())) for ln in lines[1:]]
         out.append(Polycube(dims, cells))
     return out

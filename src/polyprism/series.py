@@ -1,14 +1,13 @@
 """Truncated three-variable power series and the generating-function catalog.
 
 Coefficients are exact integers on a dense grid indexed by the exponents of
-(x, y, z), i.e. by prism dimensions (b, k, h). Multiplication packs each
-operand once into a big integer, with signed coefficients in two's-complement
-slots (Kronecker substitution), so the convolution is a single ``int``
-product, unpacked once; division is forward substitution and is cheap
-because every catalog denominator is a short polynomial with unit constant
-term. A catalog entry is built from rational functions whose numerators
-carry every monomial factor, so each piece is expanded on the bounds asked
-for and nothing is shifted afterwards.
+(x, y, z), i.e. by prism dimensions (b, k, h). A catalog entry is built from
+rational functions whose numerators carry every monomial factor, each expanded
+on the bounds asked for by division: forward substitution, cheap because every
+denominator is a short polynomial with unit constant term. Only Diag multiplies
+series (Stair * bracket^2 on the cube, the corner squares on planes): a product
+packs each operand once into signed two's-complement slots of one ``int``
+(Kronecker substitution), multiplies once and unpacks once.
 
 Every denominator is a product of (1 - u), (1 - u - v) and (1 - x - y - z),
 so with two sides s1, s2 fixed a family count is a polynomial of degree
@@ -236,10 +235,9 @@ def _kronecker_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 #
 # Every builder works on the bounds it is given, which need not be cubic, so
 # an entry symmetric in (x, y, z) sums its per-axis pieces over the three
-# axes. A monomial factor goes into the numerator of a rational piece, and a
-# factor in variables the other operand does not use is applied by division;
-# only products of series that share variables go through Kronecker
-# multiplication.
+# axes. A monomial factor goes into the numerator of a rational piece. Only
+# Diag multiplies series, in Stair * bracket^2 on the cube and in the corner
+# squares on planes; every other entry is expanded by division only.
 
 ONE = (0, 0, 0)
 AXES = (0, 1, 2)
@@ -288,29 +286,25 @@ def _hook_bracket(bounds: Bounds) -> TruncatedSeries:
     for u in AXES:
         v, w = _others(u)
         # Deg2/xyz with the pilar along u: [2/(1-v-w) - 2/((1-v)(1-w))] * u/(1-u)
-        hooks += _rat(bounds, {_e(u): 2}, [_den(u), _den(v, w)])
-        hooks -= _rat(bounds, {_e(u): 2}, [_den(u), _den(v), _den(w)])
+        # = 2xyz / ((1-u)(1-v)(1-w)(1-v-w))
+        hooks += _rat(bounds, {(1, 1, 1): 2}, [_den(u), _den(v), _den(w), _den(v, w)])
         # 2Dhook/xyz in the vw plane: vw / ((1-v)(1-w))
         hooks += _rat(bounds, {_e(v, w): 1}, [_den(v), _den(w)])
     return hooks
 
 
 def _build_pc(bounds: Bounds) -> TruncatedSeries:
-    return _build_stair(bounds) * _hook_bracket(bounds)
-
-
-def _corner(bounds: Bounds, u: int, v: int, mono: Bounds) -> TruncatedSeries:
-    """mono * [2/(1-u-v) - 1/((1-u)(1-v))]; with mono = uv, the 2D corner
-    polyominoes in the uv plane."""
-    return _rat(bounds, {mono: 2}, [_den(u, v)]) - _rat(bounds, {mono: 1}, [_den(u), _den(v)])
+    """Stair * bracket = xyz * bracket / (1-x-y-z)."""
+    return _rat(bounds, _times(_hook_bracket(bounds).items(), (1, 1, 1)), [_den(0, 1, 2)])
 
 
 def _two_diag(bounds: Bounds, w: int) -> TruncatedSeries:
     """(1/uv) * corner(u, v)^2 * w/(1-w)^2: the pilar runs along w."""
     u, v = _others(w)
-    # corner/uv has no w terms, so it is squared on its own plane
+    # corner/uv = 2/(1-u-v) - 1/((1-u)(1-v)) = (1-u-v+2uv) / ((1-u)(1-v)(1-u-v));
+    # it has no w terms, so it is squared on its own plane
     plane = tuple(0 if t == w else n for t, n in enumerate(bounds))
-    half = _corner(plane, u, v, ONE)
+    half = _rat(plane, {ONE: 1, _e(u): -1, _e(v): -1, _e(u, v): 2}, [_den(u), _den(v), _den(u, v)])
     return _rat(bounds, _times((half * half).items(), (1, 1, 1)), [_den(w), _den(w)])
 
 
@@ -329,30 +323,21 @@ def _build_diag(bounds: Bounds) -> TruncatedSeries:
     return one_diag.scale(4) - two_diag.scale(2) + cross.scale(3)
 
 
-def _corner_min2(bounds: Bounds, u: int, v: int) -> TruncatedSeries:
-    """2D corner polyominoes in the uv plane whose extent along v is >= 2."""
-    return _corner(bounds, u, v, _e(u, v)) - _rat(bounds, {_e(u, v): 1}, [_den(u)])
-
-
-def _p2dx2d_pair(bounds: Bounds, u: int, v: int, w: int) -> TruncatedSeries:
-    """2Dx2D polyominoes for the plane pair (uv, vw); v is the shared axis."""
-    blue = _corner_min2(bounds, v, u).scale(2) - _rat(
-        bounds, {_e(u, u, v): 1}, [_den(u), _den(v)]
-    )
-    yellow = _corner_min2(bounds, v, w).scale(2) - _rat(
-        bounds, {_e(w, w, v): 1}, [_den(v), _den(w)]
-    )
-    # times the skew hook SH = uw / ((1-u)(1-v)(1-w))
-    num = _times((blue * yellow).items(), _e(u, w))
-    return _rat(bounds, num, [_den(u), _den(v), _den(w)]).scale(2)
-
-
 def _build_p2dx2d(bounds: Bounds) -> TruncatedSeries:
-    return (
-        _p2dx2d_pair(bounds, 0, 1, 2)  # xy x yz
-        + _p2dx2d_pair(bounds, 1, 0, 2)  # xy x xz
-        + _p2dx2d_pair(bounds, 0, 2, 1)  # xz x yz
-    )
+    """2Dx2D polyominoes: 2 * blue * yellow * SH per shared axis v of a plane pair,
+    with {u, w} the other axes. Blue = 2 * (uv corners of u-extent >= 2) -
+    u^2v/((1-u)(1-v)) = u^2v (1-u+3v) / ((1-u)(1-v)(1-u-v)), yellow is blue with w
+    for u, and the skew hook SH = uw/((1-u)(1-v)(1-w)). The pair, symmetric in u, w:
+    2u^3v^2w^3 (1-u+3v)(1-w+3v) / ((1-u)^2 (1-v)^3 (1-w)^2 (1-u-v)(1-v-w))."""
+    total = TruncatedSeries(bounds)
+    for v in AXES:
+        u, w = _others(v)
+        # 2(1-u+3v)(1-w+3v), multiplied out
+        factor = {ONE: 2, _e(u): -2, _e(w): -2, _e(v): 12, _e(u, w): 2, _e(u, v): -6,
+                  _e(v, w): -6, _e(v, v): 18}
+        dens = [_den(t) for t in (u, u, v, v, v, w, w)] + [_den(u, v), _den(v, w)]
+        total += _rat(bounds, _times(factor.items(), _e(u, u, u, v, v, w, w, w)), dens)
+    return total
 
 
 _SC_DENS = (_den(0, 1), _den(0, 2), _den(1, 2)) + tuple(

@@ -132,3 +132,6 @@ class TestTextFormat:
     def test_rejects_bad_header(self):
         with pytest.raises(ValueError):
             parse_polycubes("size 1 1 1\n0 0 0")
+        for line in ("0 0", "0 0 0 0"):  # a cell needs exactly three coordinates
+            with pytest.raises(ValueError, match=line):
+                parse_polycubes(f"dims 1 1 1\n{line}")

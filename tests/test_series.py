@@ -166,6 +166,78 @@ class TestCatalog:
                     assert pc.coeff(b, k, h) == p3d_corner_rec(b, k, h)
 
 
+def _mono(*axes: int) -> tuple[int, int, int]:
+    return (axes.count(0), axes.count(1), axes.count(2))
+
+
+def _over(bounds, mono, *dens, coeff=1) -> TruncatedSeries:
+    """coeff * mono / prod(1 - sum of the variables of d for d in dens), by division."""
+    s = TruncatedSeries.from_terms({mono: coeff}, bounds)
+    for axes in dens:
+        s = s.div_terms({(0, 0, 0): 1, **{_mono(a): -1 for a in axes}})
+    return s
+
+
+def _times_mono(s: TruncatedSeries, mono) -> TruncatedSeries:
+    return TruncatedSeries.from_terms(
+        {tuple(a + m for a, m in zip(e, mono)): v for e, v in s.items()}, s.bounds
+    )
+
+
+def _papers_bracket(bounds) -> TruncatedSeries:
+    """1 + (Tripod + Deg2 + 2Dhook)/xyz, term by term as the paper writes it."""
+    bracket = TruncatedSeries.one(bounds) + _over(bounds, (1, 1, 1), (0,), (1,), (2,))
+    for u in range(3):
+        v, w = (t for t in range(3) if t != u)
+        # Deg2/xyz = [2/(1-v-w) - 2/((1-v)(1-w))] * u/(1-u)
+        bracket += _over(bounds, _mono(u), (u,), (v, w), coeff=2)
+        bracket -= _over(bounds, _mono(u), (u,), (v,), (w,), coeff=2)
+        bracket += _over(bounds, _mono(v, w), (v,), (w,))  # 2Dhook/xyz
+    return bracket
+
+
+def _papers_p2dx2d(bounds) -> TruncatedSeries:
+    """2 * blue * yellow * SH summed over the plane pairs (uv, vw), one product each."""
+
+    def corner_min2(u, v):  # 2D corners in the uv plane with extent >= 2 along v
+        uv = _mono(u, v)
+        corner = _over(bounds, uv, (u, v), coeff=2) - _over(bounds, uv, (u,), (v,))
+        return corner - _over(bounds, uv, (u,))
+
+    total = TruncatedSeries(bounds)
+    for u, v, w in ((0, 1, 2), (1, 0, 2), (0, 2, 1)):
+        blue = corner_min2(v, u).scale(2) - _over(bounds, _mono(u, u, v), (u,), (v,))
+        yellow = corner_min2(v, w).scale(2) - _over(bounds, _mono(w, w, v), (v,), (w,))
+        pair = _times_mono(blue * yellow, _mono(u, w))  # times SH = uw / ((1-u)(1-v)(1-w))
+        for axis in (u, v, w):
+            pair = pair.div_terms({(0, 0, 0): 1, _mono(axis): -1})
+        total += pair.scale(2)
+    return total
+
+
+class TestRationalEntries:
+    """P2Dx2D and Pc are expanded as closed rational functions; the paper's
+    construction, products included, is the reference."""
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(12, 12, 12), (1, 30, 30), (0, 4, 6), (3, 0, 0), (0, 0, 0)]
+        + list(itertools.permutations((2, 5, 16))),
+    )
+    def test_equal_to_the_papers_construction_without_a_product(self, monkeypatch, bounds):
+        products = []
+        mul = TruncatedSeries.__mul__
+        monkeypatch.setattr(
+            TruncatedSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b)
+        )
+        p2dx2d, pc = expand.__wrapped__("P2Dx2D", bounds), expand.__wrapped__("Pc", bounds)
+        assert products == []
+        expand.__wrapped__("Diag", (3, 3, 3))
+        assert products
+        assert p2dx2d == _papers_p2dx2d(bounds)
+        assert pc == expand("Stair", bounds) * _papers_bracket(bounds)
+
+
 def _stub_expand(monkeypatch) -> list:
     """Replace ``series.expand`` by a zero grid; return the names it is asked for."""
 
