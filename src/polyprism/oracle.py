@@ -6,12 +6,20 @@ cell order, and the central inversion maps bit i to bit n-1-i. The search,
 the classifier and the per-cell tables all work on such masks.
 
 The enumerator is a canonical-growth search (Redelmeier, "Counting
-polyominoes: yet another attack", 1981): every connected set is generated
-exactly once from its least cell, by extending a frontier of untried
-neighbours larger than the root; a tried candidate is never revisited. It
-generates only minimal inscribed shapes, whose least cell lies on the
-x = 0 face: those cells are the roots. The counters put the longest side
-along x, which makes the root face the smallest.
+polyominoes: yet another attack", 1981): from a root it generates every
+connected set holding the root exactly once, by extending a frontier of
+untried neighbours; a tried candidate is never revisited. Every minimal
+inscribed shape S meets the x = 0 face F, whose cells are the roots. Under
+the least-cell rule (listing, classifying, the corner count) a root forbids
+the cells below it, so S is found once, from its least cell. The orbit rule
+(the total) forbids no cell and takes one root c per orbit of F under the
+reflections fixing F (y -> k-1-y, z -> h-1-z, y <-> z if k = h). They keep
+|S & F| and map the shapes through c onto those through its image, so
+W(c) = sum of 1/|S & F| over S holding c is constant on an orbit, and the
+count, the sum of W over F, is the sum of |orbit| * W(c) over the roots.
+S has b-1 cells off F, so |S & F| <= k+h-1, and each S adds the integer
+L/|S & F|, L = lcm(1..k+h-1): the total is a multiple of L. The counters
+put the longest side along x, which makes the root face the smallest.
 
 Pruning uses the face deficit, the number of unit steps by which the
 bounding box falls short of the six faces. A cell joined to the set lies at
@@ -19,14 +27,16 @@ most one step outside its bounding box, so one addition lowers the deficit
 by at most one. A root's deficit, b + k + h - 3, equals the number of cells
 a minimal shape still needs, so each addition must lower it by one: the
 frontier drops the cells inside the current box, and every shape the
-search completes is inscribed.
+search completes is inscribed, from any root under either rule.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
 from .core import (
@@ -112,20 +122,29 @@ def _search(
     h: int,
     roots: range | list[int] | None = None,
     visit: Callable[[int], None] | None = None,
+    sizes: tuple[int, ...] | None = None,
 ) -> int:
     """Minimal inscribed shapes whose least cell is in ``roots`` (default:
-    the x = 0 face); ``visit``, if given, gets each shape's mask."""
+    the x = 0 face); ``visit``, if given, gets each shape's mask. With
+    ``sizes``, the orbit sizes of ``roots``: the orbit rule's weighted total."""
     box = _box(b, k, h)
     nbr = box.nbr
     px, py, pz = box.plane
+    face = px[0]
     if roots is None:
         roots = range(k * h)
+    lcm = math.lcm(*range(1, k + h))
+    weight = [0, *(lcm // f for f in range(1, k + h + 1))]  # by |S & F|
+    plain = visit is None and sizes is None
 
     def leaves(shape: int, ext: int) -> int:
         if visit is not None:
             for i in _bits(ext):
                 visit(shape | 1 << i)
-        return ext.bit_count()
+        if sizes is None:
+            return ext.bit_count()
+        f = (shape & face).bit_count()
+        return weight[f] * ext.bit_count() + (weight[f + 1] - weight[f]) * (ext & face).bit_count()
 
     def tight(shape, ext, seen, bx, by, bz, rem) -> int:
         """Completions of ``shape`` by ``rem`` >= 2 cells from the frontier
@@ -143,7 +162,7 @@ def _search(
             cx, cy, cz = bx | px[v], by | py[v], bz | pz[v]
             nxt = (ext | new) & ~(cx & cy & cz)
             if rem == 2:
-                count += nxt.bit_count() if visit is None else leaves(shape | low, nxt)
+                count += nxt.bit_count() if plain else leaves(shape | low, nxt)
             elif nxt:
                 count += tight(shape | low, nxt, seen | new, cx, cy, cz, rem - 1)
         return count
@@ -151,14 +170,14 @@ def _search(
     count = 0
     rem = b + k + h - 3  # cells to add to the root
     try:
-        for root in roots:
+        for root, size in zip(roots, sizes or [1] * len(roots)):
             bit = 1 << root
-            below = (bit << 1) - 1
+            below = bit if sizes else (bit << 1) - 1  # the cells the root forbids, and itself
             ext = nbr[root] & ~below
             if rem < 2:
-                count += leaves(bit, ext) if rem else leaves(0, bit)
+                count += size * (leaves(bit, ext) if rem else leaves(0, bit))
             else:
-                count += tight(bit, ext, below | ext, px[root], py[root], pz[root], rem)
+                count += size * tight(bit, ext, below | ext, px[root], py[root], pz[root], rem)
     finally:
         del tight  # it refers to itself, and through ``leaves`` to ``visit``
     return count
@@ -181,17 +200,31 @@ def _threads() -> int:
     return value
 
 
-def _count_root_chunk(args) -> int:
+def _orbits(k: int, h: int) -> list[tuple[int, int]]:
+    """The orbits of the k x h face under y -> k-1-y, z -> h-1-z, and y <-> z
+    when k = h: (least cell, size) each, by least cell. A cell's orbit has
+    its least cell at y and z folded into their lower halves, in order if k = h."""
+    sizes: Counter = Counter()
+    for y, z in product(range(k), range(h)):
+        u, v = min(y, k - 1 - y), min(z, h - 1 - z)
+        sizes[min(u, v) * h + max(u, v) if k == h else u * h + v] += 1
+    return sorted(sizes.items())
+
+
+def _count_orbit_chunk(args) -> int:
     b, k, h, lo, hi = args
-    return _search(b, k, h, roots=range(lo, hi))
+    roots, sizes = zip(*_orbits(k, h)[lo:hi])
+    return _search(b, k, h, roots=list(roots), sizes=sizes)
 
 
-def _over_roots(work: Callable[[tuple], object], d: PrismDims) -> list:
+def _over_roots(work: Callable[[tuple], object], d: PrismDims, orbits: bool = False) -> list:
     """``work`` on chunks ``(b, k, h, lo, hi)`` of the roots of ``d`` with its
-    sides in descending order, in ``POLYCUBE_THREADS`` worker processes."""
+    sides in descending order, in ``POLYCUBE_THREADS`` worker processes once
+    the x = 0 face has more than 8 cells: its cells lo..hi-1, or with
+    ``orbits`` entries lo..hi-1 of ``_orbits(k, h)``."""
     b, k, h = sorted(d.as_tuple(), reverse=True)
-    workers, n_roots = _threads(), k * h
-    if workers > 1 and n_roots > 8:
+    workers, n_roots = _threads(), len(_orbits(k, h)) if orbits else k * h
+    if workers > 1 and k * h > 8:
         from concurrent.futures import ProcessPoolExecutor  # loaded on first parallel use
 
         step = max(1, n_roots // (4 * workers))
@@ -203,8 +236,14 @@ def _over_roots(work: Callable[[tuple], object], d: PrismDims) -> list:
 
 def count_min_inscribed(d: PrismDims) -> int:
     """Minimal-volume inscribed polycubes in the prism, by brute force, longest
-    side first; ``POLYCUBE_THREADS`` worker processes search chunks of the roots."""
-    return checked_count(sum(_over_roots(_count_root_chunk, d)))
+    side first, under the orbit rule; ``POLYCUBE_THREADS`` worker processes
+    search chunks of the orbits. A total off a multiple of L is a fault."""
+    _, k, h = sorted(d.as_tuple(), reverse=True)
+    lcm = math.lcm(*range(1, k + h))
+    count, rest = divmod(sum(_over_roots(_count_orbit_chunk, d, orbits=True)), lcm)
+    if rest:
+        raise RuntimeError(f"orbit-weighted count of {d} leaves {rest} over a multiple of {lcm}")
+    return checked_count(count)
 
 
 def count_min_corner(d: PrismDims) -> int:
@@ -212,8 +251,8 @@ def count_min_corner(d: PrismDims) -> int:
 
     The count is the same for all eight corners, since a reflection of the
     box maps the shapes through one corner onto those through another. The
-    search counts corner (0, 0, 0): it is cell 0, the least cell of any
-    shape holding it, so the shapes rooted at cell 0 are exactly those.
+    search counts corner (0, 0, 0): as a least-cell root, cell 0 forbids no
+    cell, so the shapes rooted there are exactly those holding it.
     """
     return checked_count(_search(*d.as_tuple(), roots=[0]))
 

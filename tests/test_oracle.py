@@ -1,5 +1,6 @@
 import concurrent.futures
 import gc
+import io
 import itertools
 import weakref
 
@@ -12,6 +13,7 @@ from polyprism.oracle import (
     _box,
     _family,
     _is_diagonal,
+    _orbits,
     _polycube,
     _search,
     _threads,
@@ -322,13 +324,15 @@ class TestThreads:
         assert count_min_inscribed(PrismDims(3, 3, 3)) == serial
 
     def test_parallel_chunks_split_the_root_slab(self, monkeypatch):
-        # searched as 4 x 4 x 3: 12 roots on the x = 0 face, in chunks of 1
+        # searched as 4 x 4 x 3: the 12 cells of the x = 0 face fall into 4
+        # orbits, represented by cells 0, 1, 3 and 4, in chunks of 1
         monkeypatch.delenv("POLYCUBE_THREADS", raising=False)
         serial = count_min_inscribed(PrismDims(3, 4, 4))
         chunks = _record_dispatch(monkeypatch)
         monkeypatch.setenv("POLYCUBE_THREADS", "2")
         assert count_min_inscribed(PrismDims(3, 4, 4)) == serial == 23720
-        assert chunks == [(4, 4, 3, lo, lo + 1) for lo in range(12)]
+        assert chunks == [(4, 4, 3, lo, lo + 1) for lo in range(4)]
+        assert [_orbits(4, 3)[lo][0] for _, _, _, lo, _ in chunks] == [0, 1, 3, 4]
 
     def test_parallel_family_split_matches_serial(self, monkeypatch):
         # 9 roots on the searched face of 3 x 3 x 3, in chunks of 1
@@ -377,7 +381,10 @@ class TestSymmetry:
     """The counters search longest side first and classify one shape per
     inversion pair; neither may change a count."""
 
-    @pytest.mark.parametrize("sides", list(itertools.combinations_with_replacement(range(1, 5), 3)))
+    @pytest.mark.parametrize(
+        "sides",
+        [*itertools.combinations_with_replacement(range(1, 5), 3), (2, 5, 5), (3, 3, 5), (1, 5, 5)],
+    )
     def test_every_ordering_counts_alike(self, sides):
         totals, splits = set(), []
         for dims in sorted(set(itertools.permutations(sides))):
@@ -402,9 +409,9 @@ class TestSymmetry:
     def test_counters_search_longest_side_first(self, monkeypatch):
         searched = []
 
-        def recording(b, k, h, roots=None, visit=None):
+        def recording(b, k, h, **kwargs):
             searched.append((b, k, h))
-            return _search(b, k, h, roots=roots, visit=visit)
+            return _search(b, k, h, **kwargs)
 
         monkeypatch.setattr(polyprism.oracle, "_search", recording)
         monkeypatch.delenv("POLYCUBE_THREADS", raising=False)
@@ -453,3 +460,68 @@ class TestSymmetry:
         _search(3, 3, 3, visit=masks.append)
         assert sum(m == _image(m, 27) for m in masks) == 49
         assert sum(count_by_family(PrismDims(3, 3, 3)).values()) == len(masks) == 2401
+
+
+def _orbit_of(y, z, k, h):
+    """The face cells reached from (y, z) by the reflections that fix the face,
+    closing under the generators one step at a time."""
+    moves = [lambda y, z: (k - 1 - y, z), lambda y, z: (y, h - 1 - z)]
+    if k == h:
+        moves.append(lambda y, z: (z, y))
+    orbit, todo = {(y, z)}, [(y, z)]
+    while todo:
+        cell = todo.pop()
+        for move in moves:
+            image = move(*cell)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+class TestOrbits:
+    """The orbit count searches one root per orbit of the root face and weighs
+    it by the orbit's size."""
+
+    @pytest.mark.parametrize("face", [(1, 1), (2, 3), (4, 3), (3, 3), (4, 4), (5, 5)])
+    def test_orbit_table_partitions_the_face(self, face):
+        k, h = face
+        table = _orbits(k, h)
+        assert sum(size for _, size in table) == k * h
+        owner = {}
+        for root, size in table:
+            orbit = _orbit_of(*divmod(root, h), k, h)
+            assert len(orbit) == size
+            assert root == min(y * h + z for y, z in orbit)
+            for cell in orbit:
+                assert cell not in owner  # every cell lies in exactly one orbit
+                owner[cell] = root
+        assert len(owner) == k * h
+        assert [root for root, _ in table] == sorted(root for root, _ in table)
+
+    def test_transpose_only_on_a_square_face(self):
+        assert _orbits(4, 3) == [(0, 4), (1, 2), (3, 4), (4, 2)]
+        assert _orbits(3, 3) == [(0, 4), (1, 4), (4, 1)]  # (0, 1) and (1, 0) share an orbit
+        assert _orbits(3, 4) == [(0, 4), (1, 4), (4, 2), (5, 2)]  # (0, 1) and (1, 0) do not
+
+    @pytest.mark.parametrize("entry", range(4))
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_a_wrong_orbit_size_is_an_internal_fault(self, monkeypatch, entry, delta):
+        # 3 x 4 x 4 is searched as 4 x 4 x 3, with 4 orbits on its 4 x 3 face;
+        # no root there has a whole-number weight W(c), so any wrong size leaves
+        # a remainder (the centre of the 3 x 3 face has one, and would not)
+        from polyprism.cli import EX_INTERNAL, run
+
+        table = _orbits(4, 3)
+
+        def wrong(k, h):
+            assert (k, h) == (4, 3)
+            root, size = table[entry]
+            return [*table[:entry], (root, size + delta), *table[entry + 1 :]]
+
+        monkeypatch.setattr(polyprism.oracle, "_orbits", wrong)
+        monkeypatch.delenv("POLYCUBE_THREADS", raising=False)
+        with pytest.raises(RuntimeError, match="multiple"):
+            count_min_inscribed(PrismDims(3, 4, 4))
+        argv = ["count", "--engine", "oracle", "--b", "3", "--k", "4", "--h", "4"]
+        assert run(argv, out=io.StringIO()) == EX_INTERNAL

@@ -244,9 +244,9 @@ class TestCheckTable:
         searches = []
         search = polyprism.oracle._search
 
-        def recording(b, k, h, roots=None, visit=None):
+        def recording(b, k, h, roots=None, **kwargs):
             searches.append((b, k, h, roots))
-            return search(b, k, h, roots=roots, visit=visit)
+            return search(b, k, h, roots=roots, **kwargs)
 
         monkeypatch.setattr(polyprism.oracle, "_search", recording)
         assert run(["verify", "--max-dim", "4"], out=io.StringIO()) == 0
