@@ -2,23 +2,23 @@
 
 A shape is one ``int`` bitmask over the cells of the box: cell (x, y, z) of
 a b x k x h prism is bit ``(x*k + y)*h + z``, so bit order is lexicographic
-cell order, and the central inversion maps bit i to bit n-1-i. The search,
-the classifier and the per-cell tables all work on such masks.
+cell order. The search, the classifier and the per-cell tables use such masks.
 
 The enumerator is a canonical-growth search (Redelmeier, "Counting
 polyominoes: yet another attack", 1981): from a root it generates every
 connected set holding the root exactly once, by extending a frontier of
 untried neighbours; a tried candidate is never revisited. Every minimal
 inscribed shape S meets the x = 0 face F, whose cells are the roots. Under
-the least-cell rule (listing, classifying, the corner count) a root forbids
-the cells below it, so S is found once, from its least cell. The orbit rule
-(the total) forbids no cell and takes one root c per orbit of F under the
-reflections fixing F (y -> k-1-y, z -> h-1-z, y <-> z if k = h). They keep
-|S & F| and map the shapes through c onto those through its image, so
-W(c) = sum of 1/|S & F| over S holding c is constant on an orbit, and the
-count, the sum of W over F, is the sum of |orbit| * W(c) over the roots.
-S has b-1 cells off F, so |S & F| <= k+h-1, and each S adds the integer
-L/|S & F|, L = lcm(1..k+h-1): the total is a multiple of L. The counters
+the least-cell rule (listing, the rectangles, the corner count) a root
+forbids the cells below it, so S is found once, from its least cell. The
+orbit rule (the total, the family split) forbids no cell and takes one root
+c per orbit of F under the reflections fixing F (y -> k-1-y, z -> h-1-z,
+y <-> z if k = h). They keep |S & F| and the geometric family tags, and map
+the shapes through c onto those through its image, so W(c) = sum of
+1/|S & F| over S holding c, in all or in one family, is constant on an
+orbit, and the count, the sum of W over F, is the sum of |orbit| * W(c)
+over the roots. S has b-1 cells off F, so each S adds the integer L/|S & F|
+with L = lcm(1..k+h-1), and every tally is a multiple of L. The counters
 put the longest side along x, which makes the root face the smallest.
 
 Pruning uses the face deficit, the number of unit steps by which the
@@ -125,8 +125,8 @@ def _search(
     sizes: tuple[int, ...] | None = None,
 ) -> int:
     """Minimal inscribed shapes whose least cell is in ``roots`` (default:
-    the x = 0 face); ``visit``, if given, gets each shape's mask. With
-    ``sizes``, the orbit sizes of ``roots``: the orbit rule's weighted total."""
+    the x = 0 face); ``visit``, if given, gets each shape's mask. With the
+    orbit ``sizes`` of ``roots``, no root forbids a cell: the orbit rule's weighted total."""
     box = _box(b, k, h)
     nbr = box.nbr
     px, py, pz = box.plane
@@ -217,33 +217,35 @@ def _count_orbit_chunk(args) -> int:
     return _search(b, k, h, roots=list(roots), sizes=sizes)
 
 
-def _over_roots(work: Callable[[tuple], object], d: PrismDims, orbits: bool = False) -> list:
-    """``work`` on chunks ``(b, k, h, lo, hi)`` of the roots of ``d`` with its
-    sides in descending order, in ``POLYCUBE_THREADS`` worker processes once
-    the x = 0 face has more than 8 cells: its cells lo..hi-1, or with
-    ``orbits`` entries lo..hi-1 of ``_orbits(k, h)``."""
+def _over_roots(work: Callable[[tuple], object], d: PrismDims) -> list:
+    """``work`` on chunks ``(b, k, h, lo, hi)``, entries lo..hi-1 of ``_orbits(k, h)``, of
+    ``d`` with its sides in descending order; once the x = 0 face has more than 8 cells,
+    in ``POLYCUBE_THREADS`` worker processes, but no more than there are chunks."""
     b, k, h = sorted(d.as_tuple(), reverse=True)
-    workers, n_roots = _threads(), len(_orbits(k, h)) if orbits else k * h
+    workers, n_roots = _threads(), len(_orbits(k, h))
     if workers > 1 and k * h > 8:
         from concurrent.futures import ProcessPoolExecutor  # loaded on first parallel use
 
         step = max(1, n_roots // (4 * workers))
         chunks = [(b, k, h, lo, min(lo + step, n_roots)) for lo in range(0, n_roots, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             return list(pool.map(work, chunks))
     return [work((b, k, h, 0, n_roots))]
 
 
+def _unweigh(tally: int, d: PrismDims, what: str) -> int:
+    """An orbit-weighted tally of ``d`` divided by L; a remainder is a fault."""
+    _, k, h = sorted(d.as_tuple(), reverse=True)
+    count, rest = divmod(tally, lcm := math.lcm(*range(1, k + h)))
+    if rest:
+        raise RuntimeError(f"orbit-weighted {what} of {d} leaves {rest} over a multiple of {lcm}")
+    return checked_count(count)
+
+
 def count_min_inscribed(d: PrismDims) -> int:
     """Minimal-volume inscribed polycubes in the prism, by brute force, longest
-    side first, under the orbit rule; ``POLYCUBE_THREADS`` worker processes
-    search chunks of the orbits. A total off a multiple of L is a fault."""
-    _, k, h = sorted(d.as_tuple(), reverse=True)
-    lcm = math.lcm(*range(1, k + h))
-    count, rest = divmod(sum(_over_roots(_count_orbit_chunk, d, orbits=True)), lcm)
-    if rest:
-        raise RuntimeError(f"orbit-weighted count of {d} leaves {rest} over a multiple of {lcm}")
-    return checked_count(count)
+    side first, under the orbit rule, over the chunks of ``_over_roots``."""
+    return _unweigh(sum(_over_roots(_count_orbit_chunk, d)), d, "count")
 
 
 def count_min_corner(d: PrismDims) -> int:
@@ -419,28 +421,26 @@ def classify(p: Polycube) -> FamilyTag:
     return _family(shape, _box(b, k, h))
 
 
-def _family_root_chunk(args) -> Counter:
-    """Family tally of one chunk's shapes, classifying one mask per inversion pair."""
+def _family_orbit_chunk(args) -> Counter:
+    """Orbit-weighted family tallies of one chunk: a shape S found from a
+    root with orbit size s adds s * L / |S & F| to its tag."""
     b, k, h, lo, hi = args
     box = _box(b, k, h)
+    face, lcm = box.plane[0][0], math.lcm(*range(1, k + h))
     counts: Counter = Counter()
-    reversed_bits = f"0{b * k * h}b"
+    for root, size in _orbits(k, h)[lo:hi]:
+        def visit(shape: int, weight: int = size * lcm) -> None:
+            counts[_family(shape, box)] += weight // (shape & face).bit_count()
 
-    def visit(shape: int) -> None:
-        image = int(format(shape, reversed_bits)[::-1], 2)
-        if image >= shape:
-            counts[_family(shape, box)] += 1 + (image != shape)
-
-    _search(b, k, h, roots=range(lo, hi), visit=visit)
+        _search(b, k, h, roots=[root], visit=visit, sizes=[1])
     return counts
 
 
 def count_by_family(d: PrismDims) -> dict[FamilyTag, int]:
-    """Family tally of the minimal inscribed polycubes of ``d``, over the root
-    chunks of ``count_min_inscribed``. The central inversion keeps the tags,
-    which are geometric, so one mask of each pair is classified."""
-    counts = sum(_over_roots(_family_root_chunk, d), Counter())
-    return {tag: checked_count(counts[tag]) for tag in FamilyTag}
+    """Family tally of the minimal inscribed polycubes of ``d``, under the orbit
+    rule like ``count_min_inscribed``: the face's reflections keep the tags."""
+    counts = sum(_over_roots(_family_orbit_chunk, d), Counter())
+    return {tag: _unweigh(counts[tag], d, f"{tag.value} count") for tag in FamilyTag}
 
 
 def _polycube(d: PrismDims, shape: int, box: _Box) -> Polycube:

@@ -335,13 +335,46 @@ class TestThreads:
         assert [_orbits(4, 3)[lo][0] for _, _, _, lo, _ in chunks] == [0, 1, 3, 4]
 
     def test_parallel_family_split_matches_serial(self, monkeypatch):
-        # 9 roots on the searched face of 3 x 3 x 3, in chunks of 1
+        # 3 orbits on the searched face of 3 x 3 x 3, in chunks of 1
         monkeypatch.delenv("POLYCUBE_THREADS", raising=False)
         serial = count_by_family(PrismDims(3, 3, 3))
         chunks = _record_dispatch(monkeypatch)
         monkeypatch.setenv("POLYCUBE_THREADS", "2")
         assert count_by_family(PrismDims(3, 3, 3)) == serial
-        assert chunks == [(3, 3, 3, lo, lo + 1) for lo in range(9)]
+        assert chunks == [(3, 3, 3, lo, lo + 1) for lo in range(3)]
+
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        # A stand-in pool that maps in this process and records its size: a
+        # real pool forks all its workers at the first submit, so this test
+        # must start none. 3 x 4 x 4 is searched in 4 orbit chunks.
+        from polyprism.cli import run
+
+        sizes = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        outputs = {}
+        for threads in ("1", "1000000"):
+            monkeypatch.setenv("POLYCUBE_THREADS", threads)
+            for command in (["count", "--engine", "oracle"], ["classify"]):
+                out = io.StringIO()
+                assert run([*command, "--b", "3", "--k", "4", "--h", "4"], out=out) == 0
+                outputs[threads, command[0]] = out.getvalue()
+        assert sizes == [4, 4]
+        assert outputs["1000000", "count"] == outputs["1", "count"]
+        assert outputs["1000000", "classify"] == outputs["1", "classify"]
 
 
 def _record_dispatch(monkeypatch) -> list:
@@ -378,8 +411,8 @@ def _tally(b, k, h):
 
 
 class TestSymmetry:
-    """The counters search longest side first and classify one shape per
-    inversion pair; neither may change a count."""
+    """The counters search longest side first, and the family split weighs
+    one root per orbit of the root face; neither may change a count."""
 
     @pytest.mark.parametrize(
         "sides",
@@ -420,7 +453,8 @@ class TestSymmetry:
         count_2d_min(2, 5)
         count_by_family(PrismDims(3, 2, 4))
         weighted_2d_count(3, 4)
-        assert searched == [(4, 3, 2), (5, 2, 1), (4, 3, 2), (4, 3, 1)]
+        # the split searches each of the 2 orbits of the 3 x 2 face on its own
+        assert searched == [(4, 3, 2), (5, 2, 1), (4, 3, 2), (4, 3, 2), (4, 3, 1)]
         searched.clear()
         next(iter_min_inscribed(PrismDims(2, 3, 4)))
         assert searched == [(2, 3, 4)]  # the caller's coordinates
@@ -437,22 +471,29 @@ class TestSymmetry:
         assert all(_family(m, box) is _family(_image(m, n), box) for m in masks)
 
     @pytest.mark.parametrize(
-        "masks,expected",
+        "dims",
         [
-            ([0b111], 1),  # the rod is its own image
-            ([0b011, 0b110], 2),  # one pair, met in either order
-            ([0b110, 0b011], 2),
+            *(s[::-1] for s in itertools.combinations_with_replacement(range(1, 4), 3)),
+            (4, 3, 2),
+            (4, 4, 2),
+            (4, 3, 3),
         ],
     )
-    def test_each_pair_counts_twice_and_a_self_image_once(self, monkeypatch, masks, expected):
-        def stub(b, k, h, roots=None, visit=None):
-            for m in masks:
-                visit(m)
-            return len(masks)
-
-        monkeypatch.setattr(polyprism.oracle, "_search", stub)
-        monkeypatch.delenv("POLYCUBE_THREADS", raising=False)
-        assert sum(count_by_family(PrismDims(3, 1, 1)).values()) == expected
+    def test_face_reflections_keep_family_tags(self, dims):
+        # the lemma the orbit-weighted split rests on, on prisms searched
+        # longest side first: y -> k-1-y, z -> h-1-z, and y <-> z if k = h
+        _, k, h = dims
+        box = _box(*dims)
+        moves = [lambda x, y, z: (x, k - 1 - y, z), lambda x, y, z: (x, y, h - 1 - z)]
+        if k == h:
+            moves.append(lambda x, y, z: (x, z, y))
+        masks = []
+        _search(*dims, visit=masks.append)
+        for move in moves:
+            target = [(x * k + y) * h + z for x, y, z in (move(c.x, c.y, c.z) for c in box.cells)]
+            images = [sum(1 << target[i] for i in range(len(target)) if m >> i & 1) for m in masks]
+            assert set(images) == set(masks)
+            assert all(_family(m, box) is _family(i, box) for m, i in zip(masks, images))
 
     def test_self_images_among_real_shapes_count_once(self):
         # 49 of the 2401 shapes of 3 x 3 x 3 are their own image
@@ -512,16 +553,33 @@ class TestOrbits:
         # a remainder (the centre of the 3 x 3 face has one, and would not)
         from polyprism.cli import EX_INTERNAL, run
 
-        table = _orbits(4, 3)
-
-        def wrong(k, h):
-            assert (k, h) == (4, 3)
-            root, size = table[entry]
-            return [*table[:entry], (root, size + delta), *table[entry + 1 :]]
-
-        monkeypatch.setattr(polyprism.oracle, "_orbits", wrong)
-        monkeypatch.delenv("POLYCUBE_THREADS", raising=False)
+        _wrong_orbit_size(monkeypatch, entry, delta)
         with pytest.raises(RuntimeError, match="multiple"):
             count_min_inscribed(PrismDims(3, 4, 4))
         argv = ["count", "--engine", "oracle", "--b", "3", "--k", "4", "--h", "4"]
         assert run(argv, out=io.StringIO()) == EX_INTERNAL
+
+    @pytest.mark.parametrize("entry", range(4))
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_a_wrong_orbit_size_faults_the_family_split(self, monkeypatch, entry, delta):
+        # the tags' weighted tallies add up to the total's, so at least one
+        # of them keeps the remainder
+        from polyprism.cli import EX_INTERNAL, run
+
+        _wrong_orbit_size(monkeypatch, entry, delta)
+        with pytest.raises(RuntimeError, match="multiple"):
+            count_by_family(PrismDims(3, 4, 4))
+        assert run(["classify", "--b", "3", "--k", "4", "--h", "4"], out=io.StringIO()) == EX_INTERNAL
+
+
+def _wrong_orbit_size(monkeypatch, entry, delta):
+    """Make entry ``entry`` of the 4 x 3 face's orbit table ``delta`` off its size."""
+    table = _orbits(4, 3)
+
+    def wrong(k, h):
+        assert (k, h) == (4, 3)
+        root, size = table[entry]
+        return [*table[:entry], (root, size + delta), *table[entry + 1 :]]
+
+    monkeypatch.setattr(polyprism.oracle, "_orbits", wrong)
+    monkeypatch.delenv("POLYCUBE_THREADS", raising=False)

@@ -250,11 +250,13 @@ class TestCheckTable:
 
         monkeypatch.setattr(polyprism.oracle, "_search", recording)
         assert run(["verify", "--max-dim", "4"], out=io.StringIO()) == 0
-        # one search gives a rectangle's count and weighted sum (47 searches
-        # when each took its own): the 10 with sides <= 4, longest side first
+        # one search gives a rectangle's count and weighted sum (59 searches
+        # when each took its own): the 10 with sides <= 4, longest side first;
+        # beside them, 20 corner counts and the family splits of 11 prisms,
+        # one search per orbit root of each searched face
         rectangles = [s for s in searches if s[2] == 1 and s[3] is None]
         assert sorted(rectangles) == sorted((k, b, 1, None) for b, k in _pairs(1, 4))
-        assert len(searches) == 41
+        assert len(searches) == 53
 
     def test_table1_takes_a_classified_total_from_the_split(
         self, monkeypatch, fresh_oracle_memos
