@@ -28,6 +28,18 @@ by at most one. A root's deficit, b + k + h - 3, equals the number of cells
 a minimal shape still needs, so each addition must lower it by one: the
 frontier drops the cells inside the current box, and every shape the
 search completes is inscribed, from any root under either rule.
+
+The search also enters a node only if, on every side whose face its box
+has not reached, its frontier holds a cell on that side's box plane or past
+it. The box is tracked by five extents; x_min is always 0, since every root
+is on F. Proof: a completion must reach that face, so it adds a cell on the
+plane or past it; take the first, c. Say c joins the set next to a cell d
+added after the node. Then d lies short of the plane, so it is c's
+neighbour one step inward, with c's other two coordinates. The box already
+reaches the plane and now holds d, so it holds c, which zero slack forbids.
+So c neighbours a cell of the node: it is already seen, and a seen cell is
+only ever added from the current frontier. The test cuts only subtrees that
+hold no shape, so every caller gets the same masks in the same order.
 """
 
 from __future__ import annotations
@@ -55,7 +67,10 @@ class _Box(NamedTuple):
 
     cells: tuple[Cell, ...]  # shared by every Polycube built from a mask
     nbr: list[int]  # face neighbours
+    coords: list[tuple[int, int, int]]  # (x, y, z)
     plane: tuple[list[int], list[int], list[int]]  # per axis: plane through the cell
+    upto: list[list[int]]  # per axis: coordinate t -> the cells at or below t
+    down: list[list[int]]  # per axis: coordinate t -> the cells at or above t
     steps: tuple[int, ...]  # h, k*h and the targets of the +y, -y, +z, -z shifts
     orients: tuple[tuple[list[int], list[int]], ...]  # per diagonal: cell -> low, high
     comparable: list[int]  # per diagonal o, in bits o*n..o*n+n-1: low | high
@@ -95,8 +110,11 @@ def _box(b: int, k: int, h: int) -> _Box:
     full = (1 << n) - 1
     return _Box(
         cells=tuple(Cell(*c) for c in coords),
+        coords=coords,
         nbr=nbr,
         plane=tuple([p[c[a]] for c in coords] for a, p in enumerate(planes)),
+        upto=upto,
+        down=down,
         steps=(h, k * h, full ^ py[0], full ^ py[-1], full ^ pz[0], full ^ pz[-1]),
         orients=tuple(orients),
         comparable=[
@@ -124,47 +142,55 @@ def _search(
     visit: Callable[[int], None] | None = None,
     sizes: tuple[int, ...] | None = None,
 ) -> int:
-    """Minimal inscribed shapes whose least cell is in ``roots`` (default:
-    the x = 0 face); ``visit``, if given, gets each shape's mask. With the
-    orbit ``sizes`` of ``roots``, no root forbids a cell: the orbit rule's weighted total."""
+    """Minimal inscribed shapes grown from ``roots`` (default: the x = 0
+    face); ``visit``, if given, gets each shape's mask. Without ``sizes``, the
+    least-cell rule: the number of shapes whose least cell is in ``roots``.
+    With their orbit ``sizes``, no root forbids a cell: the orbit rule's weighted total."""
     box = _box(b, k, h)
-    nbr = box.nbr
-    px, py, pz = box.plane
-    face = px[0]
+    nbr, coords = box.nbr, box.coords
+    (le_x, le_y, le_z), (_, ge_y, ge_z) = box.upto, box.down
+    face, full = le_x[0], le_x[-1]
+    # per side, extent -> the cells on its box plane or past it; every cell once at the face
+    reach_x, reach_y1, reach_z1 = (ge[:-1] + [full] for ge in box.down)
+    reach_y0, reach_z0 = ([full] + le[1:] for le in (le_y, le_z))
     if roots is None:
         roots = range(k * h)
     lcm = math.lcm(*range(1, k + h))
-    weight = [0, *(lcm // f for f in range(1, k + h + 1))]  # by |S & F|
-    plain = visit is None and sizes is None
+    weight = [0, *(lcm // f if sizes else 1 for f in range(1, k + h + 1))]  # by |S & F|
+    step = [w1 - w0 for w0, w1 in zip(weight, weight[1:])]  # by |S & F|, for one more cell on F
 
-    def leaves(shape: int, ext: int) -> int:
-        if visit is not None:
-            for i in _bits(ext):
-                visit(shape | 1 << i)
-        if sizes is None:
-            return ext.bit_count()
-        f = (shape & face).bit_count()
-        return weight[f] * ext.bit_count() + (weight[f + 1] - weight[f]) * (ext & face).bit_count()
-
-    def tight(shape, ext, seen, bx, by, bz, rem) -> int:
+    def tight(shape, ext, seen, x1, y0, y1, z0, z1, f, rem) -> int:
         """Completions of ``shape`` by ``rem`` >= 2 cells from the frontier
-        ``ext``, at zero slack: every cell added leaves the bounding box.
-
-        ``bx & by & bz`` is the bounding box of ``shape``: each of them is
-        the union of the planes along one axis that the shape meets.
-        """
+        ``ext``, at zero slack: every cell added leaves the bounding box
+        [0, x1] x [y0, y1] x [z0, z1] (the root's cell, while ``shape`` is
+        empty). ``f`` is ``|shape & F|``. A node is entered only if it passes
+        the reach test of the module docstring."""
         count = 0
         while ext:
             low = ext & -ext
             ext ^= low
             v = low.bit_length() - 1
             new = nbr[v] & ~seen
-            cx, cy, cz = bx | px[v], by | py[v], bz | pz[v]
-            nxt = (ext | new) & ~(cx & cy & cz)
+            x, y, z = coords[v]
+            cx1 = x if x > x1 else x1  # the box with v, which is one step out on one side
+            cy0 = y if y < y0 else y0
+            cy1 = y if y > y1 else y1
+            cz0 = z if z < z0 else z0
+            cz1 = z if z > z1 else z1
+            nxt = (ext | new) & ~(le_x[cx1] & ge_y[cy0] & le_y[cy1] & ge_z[cz0] & le_z[cz1])
+            g = f + (not x)
             if rem == 2:
-                count += nxt.bit_count() if plain else leaves(shape | low, nxt)
-            elif nxt:
-                count += tight(shape | low, nxt, seen | new, cx, cy, cz, rem - 1)
+                if visit is not None:
+                    grown, rest = shape | low, nxt
+                    while rest:
+                        last = rest & -rest
+                        rest ^= last
+                        visit(grown | last)
+                count += weight[g] * nxt.bit_count() + step[g] * (nxt & face).bit_count()
+            elif nxt & reach_x[cx1] and nxt & reach_y0[cy0] and nxt & reach_y1[cy1] and (
+                nxt & reach_z0[cz0] and nxt & reach_z1[cz1]
+            ):
+                count += tight(shape | low, nxt, seen | new, cx1, cy0, cy1, cz0, cz1, g, rem - 1)
         return count
 
     count = 0
@@ -173,13 +199,15 @@ def _search(
         for root, size in zip(roots, sizes or [1] * len(roots)):
             bit = 1 << root
             below = bit if sizes else (bit << 1) - 1  # the cells the root forbids, and itself
-            ext = nbr[root] & ~below
-            if rem < 2:
-                count += size * (leaves(bit, ext) if rem else leaves(0, bit))
-            else:
-                count += size * tight(bit, ext, below | ext, px[root], py[root], pz[root], rem)
+            x, y, z = coords[root]
+            if rem:  # from the empty shape, whose one frontier cell is the root
+                count += size * tight(0, bit, below, x, y, y, z, z, 0, rem + 1)
+            else:  # a 1 x 1 x 1 prism: the root is the shape
+                if visit is not None:
+                    visit(bit)
+                count += size * weight[1]
     finally:
-        del tight  # it refers to itself, and through ``leaves`` to ``visit``
+        del tight  # it refers to itself, and so to ``visit``
     return count
 
 

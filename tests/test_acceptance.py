@@ -4,12 +4,15 @@ Every assertion is exact equality; there are no tolerances. Reference
 constants are the embedded fixtures in ``polyprism.verify``.
 """
 
+import io
 import itertools
+import os
 import random
 import time
 
 import pytest
 
+from polyprism.cli import run
 from polyprism.core import FamilyTag, PrismDims
 from polyprism.formulas import (
     diag_volume,
@@ -85,6 +88,23 @@ class TestCriterion3Oracle:
 
     def test_cube_five(self):
         assert count_min_inscribed(PrismDims(5, 5, 5)) == 2256145 == total_min(5, 5, 5)
+
+    @pytest.mark.skipif(
+        os.environ.get("POLYPRISM_SLOW") != "1", reason="opt-in slow set: set POLYPRISM_SLOW=1"
+    )
+    def test_cube_six_by_brute_force(self):
+        """Table 1's n = 6 total, 52 177 880, by the oracle alone: about 22 s
+        on one process of a 2-core x86 machine, less over ``POLYCUBE_THREADS``
+        workers.
+
+        It proves by enumeration that the 6 x 6 x 6 cube holds exactly that
+        many minimal inscribed polycubes, confirming the paper's entry and the
+        series coefficient that tier-1 compares with it. It does not check the
+        family split at n = 6, nor any other size.
+        """
+        out = io.StringIO()
+        assert run(["count", "--b", "6", "--k", "6", "--h", "6", "--engine", "oracle"], out=out) == 0
+        assert out.getvalue().strip() == str(TABLE1["total"][5]) == "52177880"
 
 
 class TestCriterion4Partition:

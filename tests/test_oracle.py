@@ -2,6 +2,7 @@ import concurrent.futures
 import gc
 import io
 import itertools
+import math
 import weakref
 
 import pytest
@@ -54,9 +55,9 @@ def _naive_shapes(b, k, h):
 
 
 class TestSearchPaths:
-    """The search against all subsets. Prisms with b + k + h < 5 add fewer
-    than two cells to the root and take the leaf path; the rest, side-1
-    prisms included, go through the pruned frontier."""
+    """The search against all subsets. The 1 x 1 x 1 prism's root is its
+    shape; every other prism, side-1 prisms included, grows through the
+    pruned frontier from the empty shape, whose one frontier cell is the root."""
 
     @pytest.mark.parametrize(
         "dims", [(2, 2, 3), (2, 3, 3), (1, 1, 1), (1, 1, 2), (1, 3, 4), (2, 2, 4), (2, 2, 5)]
@@ -81,6 +82,65 @@ class TestSearchPaths:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def _unreached_masks(b, k, h, root, forbidden):
+    """The masks found from ``root``, never adding a cell of ``forbidden``, in
+    the search's order, by the search without its reach test: the bounding
+    box as three plane unions, and a node entered whenever its frontier is not
+    empty."""
+    box = _box(b, k, h)
+    nbr, (px, py, pz) = box.nbr, box.plane
+    found = []
+
+    def tight(shape, ext, seen, bx, by, bz, rem):
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            if rem == 1:
+                found.append(shape | low)
+                continue
+            v = low.bit_length() - 1
+            new = nbr[v] & ~seen
+            cx, cy, cz = bx | px[v], by | py[v], bz | pz[v]
+            nxt = (ext | new) & ~(cx & cy & cz)
+            if nxt:
+                tight(shape | low, nxt, seen | new, cx, cy, cz, rem - 1)
+
+    tight(0, 1 << root, forbidden | 1 << root, 0, 0, 0, b + k + h - 2)
+    return found
+
+
+_REACH_SIDES = [
+    *itertools.combinations_with_replacement(range(1, 5), 3),
+    (5, 4, 3), (6, 3, 2), (2, 2, 9), (1, 5, 6),
+]
+
+
+class TestReachTest:
+    """The reach test cuts only subtrees that hold no shape: every ordering of
+    each prism gives the masks of the search without it, in the same order,
+    and the same counts under both root rules."""
+
+    @pytest.mark.parametrize("sides", _REACH_SIDES)
+    def test_least_cell_rule(self, sides):
+        for dims in set(itertools.permutations(sides)):
+            _, k, h = dims
+            expected = [m for r in range(k * h) for m in _unreached_masks(*dims, r, (1 << r) - 1)]
+            masks = []
+            assert _search(*dims, visit=masks.append) == len(expected)
+            assert masks == expected, dims
+
+    @pytest.mark.parametrize("sides", _REACH_SIDES)
+    def test_orbit_rule(self, sides):
+        for b, k, h in set(itertools.permutations(sides)):
+            face, lcm = _box(b, k, h).plane[0][0], math.lcm(*range(1, k + h))
+            for root, size in _orbits(k, h):
+                expected = _unreached_masks(b, k, h, root, 0)
+                weighted = sum(size * lcm // (m & face).bit_count() for m in expected)
+                masks = []
+                assert _search(b, k, h, roots=[root], visit=masks.append, sizes=[size]) == weighted
+                assert masks == expected, (b, k, h, root)
 
 
 class TestMinimalCounts:
